@@ -12,7 +12,6 @@ from .core import (
     Element,
     PushReport,
     QueueConfig,
-    ReferenceTimer,
     expiry_tick,
     is_expired,
     make_expiration,
@@ -37,7 +36,6 @@ __all__ = [
     "Element",
     "PushReport",
     "QueueConfig",
-    "ReferenceTimer",
     "SimulationHazard",
     "SystolicQueue",
     "expiry_tick",

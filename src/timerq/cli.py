@@ -42,15 +42,15 @@ def _queue_args(sub, defaults=True):
     sub.add_argument("--blocks", type=int, default=0,
                      help="blocks per unit (0 = derive from capacity)")
     sub.add_argument("--cycle-ns", type=float, default=2.0)
-    sub.add_argument("--backend", default="behavioral",
-                     choices=("behavioral", "systolic", "wide"))
+    sub.add_argument("--backend", choices=("behavioral", "systolic", "wide"),
+                     help="default: the params file's, else behavioral")
 
 
 def _params_from(args) -> harness.SimParams:
     return harness.SimParams(
         timeout=args.to, precision=args.precision, data_width=args.wr,
         timeout_width=args.wo, id_width=args.wid, capacity=args.capacity,
-        cycle_time_ns=args.cycle_ns, backend=args.backend,
+        cycle_time_ns=args.cycle_ns, backend=args.backend or "behavioral",
         n_units=args.units, m_blocks=args.blocks)
 
 
@@ -79,14 +79,14 @@ def _cmd_run(args) -> int:
             bundled = harness.bundled_params(path)
             if bundled.is_file():
                 path = bundled
+        overrides = {key: value for key, value in
+                     (("backend", args.backend), ("timeout", args.to))
+                     if value is not None}
         try:
-            params, extra = harness.load_params(path)
+            params, extra = harness.load_params(path, **overrides)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BADFILE
-        params = replace(
-            params, backend=args.backend,
-            **({"timeout": args.to} if args.to is not None else {}))
     else:
         params = _params_from(args)
         if params.timeout is None:

@@ -128,28 +128,6 @@ class QueueConfig:
         return (1 << self.id_width) - 1
 
 
-class ReferenceTimer:
-    """Wrapping tick counter with an unbounded shadow count.
-
-    The wrapped `value` is what the queue compares against; the shadow
-    `tick_count` exists so harness bookkeeping can reason in absolute
-    time without widening the modeled register.
-    """
-
-    def __init__(self, data_width: int, start_tick: int = 0):
-        self.data_width = data_width
-        self.tick_count = start_tick
-
-    @property
-    def value(self) -> int:
-        return self.tick_count & ((1 << self.data_width) - 1)
-
-    def tick(self, n: int = 1):
-        if n < 0:
-            raise ValueError("timer cannot run backwards")
-        self.tick_count += n
-
-
 class BehavioralQueue:
     """Sorted-list model with unified push/update and group ordering.
 

@@ -1,11 +1,12 @@
 """Flow-timeout simulation harness.
 
-Drives a timer queue backend against a packet trace: each packet pushes
-(or refreshes) its flow's expiration entry, and the engine pops entries
-as they expire, modelling the one-op-per-three-cycles interface of the
-array hardware.  Backends share a small adapter protocol so the sorted
-reference model, the cycle-accurate array, and the unbounded-arithmetic
-oracle can all be driven by the same loop and compared stream-for-stream.
+`arbitrate` is the one engine loop.  It models the array's
+one-op-per-three-cycles interface: each free issue slot goes to an op
+source's next op or to an expired head, alternating when both wait.
+`drive` is the trace source (each packet pushes or refreshes its flow's
+expiration entry); `oracle.replay` is the script source.  Backends sit
+behind `Adapter` subclasses, so all of them run the same loop and
+compare stream-for-stream.
 
 Time bases: one cycle is `cycle_time_ns` nanoseconds, one timer tick is
 `precision` cycles.  The engine tracks an ever-growing wide tick; the
@@ -18,11 +19,11 @@ import csv
 import ipaddress
 import logging
 import random
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import BehavioralQueue, QueueConfig, expiry_tick, is_expired
-from .systolic import CYCLES_PER_OP, SystolicQueue, pop_op, push_op
+from .core import (BehavioralQueue, QueueConfig, expiry_tick, is_expired,
+                   make_expiration)
+from .systolic import CYCLES_PER_OP, SystolicQueue, pop_op, push_op, remove_op
 
 log = logging.getLogger(__name__)
 
@@ -195,10 +196,10 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
                         extra[key] = float(value)
                     except ValueError:
                         extra[key] = value
-    params = SimParams(**sim_kwargs)
-    if overrides:
-        params = replace(params, **overrides)
-    return params, extra
+    sim_kwargs.update(overrides)
+    if "timeout" not in sim_kwargs:
+        raise ValueError(f"{path}: no timeout given")
+    return SimParams(**sim_kwargs), extra
 
 
 def bundled_params(name: str = "univ_scale"):
@@ -244,44 +245,20 @@ class FlowTable:
 # -- backend adapters --------------------------------------------------------
 
 
-class BehavioralAdapter:
-    """Sorted reference model behind the engine's op interface."""
+class Adapter:
+    """Defaults shared by the backend adapters behind the engine's op
+    interface.  `queue` holds the backend; the base suits a backend that
+    needs no clock, stores modular expirations and peeks an `Element`."""
 
-    def __init__(self, config: QueueConfig):
+    def __init__(self, config: QueueConfig, queue):
         self.config = config
-        self.queue = BehavioralQueue(config)
+        self.queue = queue
 
     def ready(self) -> bool:
         return True
 
     def step(self):
         pass
-
-    def has_expired_head(self, wide_tick: int) -> bool:
-        head = self.queue.peek()
-        if head is None:
-            return False
-        return is_expired(head.data, wide_tick & self.config.data_mask,
-                          self.config.data_width)
-
-    def pop_head(self, wide_tick: int):
-        el = self.queue.pop()
-        return expiry_tick(el.data, wide_tick, self.config.data_width), el.ident
-
-    def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
-        from .core import make_expiration
-
-        data = make_expiration(wide_tick & self.config.data_mask, timeout,
-                               self.config.data_width,
-                               self.config.timeout_width)
-        self.queue.push(ident, data)
-        return True
-
-    def remove(self, ident: int) -> bool:
-        return self.queue.remove(ident) is not None
-
-    def quiescent(self) -> bool:
-        return True
 
     def settle(self):
         pass
@@ -289,15 +266,48 @@ class BehavioralAdapter:
     def occupancy(self) -> int:
         return len(self.queue)
 
+    def has_expired_head(self, wide_tick: int) -> bool:
+        head = self.queue.peek()
+        return head is not None and is_expired(
+            head.data, wide_tick & self.config.data_mask,
+            self.config.data_width)
 
-class SystolicAdapter:
+    def expiration(self, wide_tick: int, timeout: int) -> int:
+        """Modular expiration stamp of a push issued at `wide_tick`."""
+        cfg = self.config
+        return make_expiration(wide_tick & cfg.data_mask, timeout,
+                               cfg.data_width, cfg.timeout_width)
+
+    def expiry(self, data: int, wide_tick: int) -> int:
+        """Unbounded tick at which a head popped at `wide_tick` expired."""
+        return expiry_tick(data, wide_tick, self.config.data_width)
+
+
+class BehavioralAdapter(Adapter):
+    """Sorted reference model behind the engine's op interface."""
+
+    def __init__(self, config: QueueConfig):
+        super().__init__(config, BehavioralQueue(config))
+
+    def pop_head(self, wide_tick: int):
+        el = self.queue.pop()
+        return self.expiry(el.data, wide_tick), el.ident
+
+    def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
+        self.queue.push(ident, self.expiration(wide_tick, timeout))
+        return True
+
+    def remove(self, ident: int) -> bool:
+        return self.queue.remove(ident) is not None
+
+
+class SystolicAdapter(Adapter):
     """Cycle-accurate array behind the engine's op interface."""
 
     def __init__(self, config: QueueConfig, n_units: int, m_blocks: int,
                  event_sink=None):
-        self.config = config
-        self.queue = SystolicQueue(config, n_units, m_blocks,
-                                   event_sink=event_sink)
+        super().__init__(config, SystolicQueue(config, n_units, m_blocks,
+                                               event_sink=event_sink))
 
     def ready(self) -> bool:
         return self.queue.issue_gate == 0
@@ -305,35 +315,18 @@ class SystolicAdapter:
     def step(self):
         self.queue.step()
 
-    def has_expired_head(self, wide_tick: int) -> bool:
-        head = self.queue.peek()
-        if head is None:
-            return False
-        return is_expired(head.data, wide_tick & self.config.data_mask,
-                          self.config.data_width)
-
     def pop_head(self, wide_tick: int):
         head = self.queue.peek()
-        accepted = self.queue.issue(pop_op())
-        assert accepted and head is not None
-        return (expiry_tick(head.data, wide_tick, self.config.data_width),
-                head.ident)
+        if head is None or not self.queue.issue(pop_op()):
+            raise RuntimeError("pop_head: the array refused the pop")
+        return self.expiry(head.data, wide_tick), head.ident
 
     def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
-        from .core import make_expiration
-
-        data = make_expiration(wide_tick & self.config.data_mask, timeout,
-                               self.config.data_width,
-                               self.config.timeout_width)
-        return self.queue.issue(push_op(ident, data))
+        return self.queue.issue(
+            push_op(ident, self.expiration(wide_tick, timeout)))
 
     def remove(self, ident: int) -> bool:
-        from .systolic import remove_op
-
         return self.queue.issue(remove_op(ident))
-
-    def quiescent(self) -> bool:
-        return self.queue.is_quiescent()
 
     def settle(self):
         self.queue.drain()
@@ -389,17 +382,120 @@ class SimStats:
 # -- engine ------------------------------------------------------------------
 
 
-@dataclass
-class _EngineState:
-    cycle: int = 0
-    gate: int = 0
-    last_kind: str = "pop"
-    pushes: int = 0
-    inserts: int = 0
-    updates: int = 0
-    pops: int = 0
-    max_occ: int = 0
-    idle_cycles: int = 0
+def arbitrate(source, adapter, precision: int, max_cycles: int):
+    """The one issue arbiter every run goes through.
+
+    At most one op is issued per CYCLES_PER_OP cycles, matching the
+    array's acceptance rate, so all backends see identical op streams.
+    In each free issue slot the arbiter asks `source.due(cycle)` whether
+    an op is waiting and the adapter whether its head has expired; when
+    both are, it alternates kinds, the source first, to starve neither
+    side.  `source.issue(adapter, cycle, wide_tick)` issues the waiting
+    op and returns False when back-pressured, leaving it waiting;
+    `source.popped(expiry, ident)` records each pop.  Sources change
+    state only in free slots, so `source.done()` is asked after those.
+
+    Returns (cycles, idle_cycles), or None when max_cycles ran out
+    first.  Idle cycles are free slots with nothing to issue: the only
+    cycles that count against saturation.
+    """
+    ready = adapter.ready
+    step = adapter.step
+    has_expired_head = adapter.has_expired_head
+    cycle = gate = idle = 0
+    pop_next = False
+    while True:
+        free = gate == 0 and ready()
+        if free:
+            wide_tick = cycle // precision
+            op_due = source.due(cycle)
+            if (pop_next or not op_due) and has_expired_head(wide_tick):
+                source.popped(*adapter.pop_head(wide_tick))
+                pop_next = False
+                gate = CYCLES_PER_OP
+            elif op_due:
+                if source.issue(adapter, cycle, wide_tick):
+                    pop_next = True
+                    gate = CYCLES_PER_OP
+            else:
+                idle += 1
+        step()
+        cycle += 1
+        if gate:
+            gate -= 1
+        if free and source.done():
+            return cycle, idle
+        if cycle >= max_cycles:
+            return None
+
+
+class _TraceSource:
+    """Packets become pushes of their flow's id, in arrival order."""
+
+    def __init__(self, packets: list[Packet], params: SimParams,
+                 dequeue_log: list | None, occupancy_series: list | None,
+                 sample_ticks: int):
+        self.packets = packets
+        self.total = len(packets)
+        self.next = 0
+        self.params = params
+        self.cycle_ns = params.cycle_time_ns
+        self.table = FlowTable(params.queue_config().max_ident)
+        self.pushes = self.inserts = self.updates = self.pops = 0
+        self.max_occ = 0
+        self.dequeue_log = dequeue_log
+        self.series = occupancy_series
+        self.sample_every = sample_ticks * params.precision
+        self.next_sample = (self.sample_every if occupancy_series is not None
+                            else float("inf"))
+
+    def sample(self, cycle: int):
+        """Record the flow count at every sample point up to `cycle`.
+        It only changes in issue slots, so sampling can lag until one."""
+        while self.next_sample <= cycle:
+            self.series.append((self.next_sample // self.params.precision,
+                                len(self.table)))
+            self.next_sample += self.sample_every
+
+    def due(self, cycle: int) -> bool:
+        self.sample(cycle)
+        return (self.next < self.total and
+                self.packets[self.next].arrival_ns <= cycle * self.cycle_ns)
+
+    def issue(self, adapter, cycle: int, wide_tick: int) -> bool:
+        table = self.table
+        flow = self.packets[self.next].flow
+        ident = table.lookup(flow)
+        fresh = ident is None
+        if fresh:
+            capacity = self.params.capacity
+            if len(table) >= capacity:
+                raise CapacityAbort(f"{len(table)} live flows at capacity "
+                                    f"{capacity} (cycle {cycle})")
+            ident = table.allocate(flow)
+            if ident is None:
+                raise CapacityAbort("id space exhausted")
+        if not adapter.push(ident, wide_tick, self.params.timeout):
+            if fresh:
+                table.release(ident)
+            return False
+        self.next += 1
+        self.pushes += 1
+        if fresh:
+            self.inserts += 1
+            self.max_occ = max(self.max_occ, len(table))
+        else:
+            self.updates += 1
+        return True
+
+    def popped(self, expiry: int, ident: int):
+        self.table.release(ident)
+        self.pops += 1
+        if self.dequeue_log is not None:
+            self.dequeue_log.append((expiry, ident))
+
+    def done(self) -> bool:
+        return self.next == self.total and not self.table
 
 
 def drive(packets: list[Packet], adapter, params: SimParams, *,
@@ -409,94 +505,14 @@ def drive(packets: list[Packet], adapter, params: SimParams, *,
           max_cycles: int = 500_000_000) -> SimStats:
     """Run the trace to completion: every flow pushed, refreshed on
     each packet, and popped once expired.  Returns the aggregate stats.
-
-    At most one operation is issued per CYCLES_PER_OP cycles, matching
-    the array's acceptance rate, so all backends see identical op
-    streams.  When both a push and an expired head are waiting, the
-    arbiter alternates kinds to starve neither side.
     """
-    cfg = params.queue_config()
-    table = FlowTable(cfg.max_ident)
-    st = _EngineState()
-    pending: deque[Packet] = deque()
-    next_pkt = 0
-    total = len(packets)
-    cycle_ns = params.cycle_time_ns
-    p = params.precision
-
-    while True:
-        wide_tick = st.cycle // p
-        while next_pkt < total and (
-                packets[next_pkt].arrival_ns <= st.cycle * cycle_ns):
-            pending.append(packets[next_pkt])
-            next_pkt += 1
-
-        if st.gate == 0 and adapter.ready():
-            want_pop = adapter.has_expired_head(wide_tick)
-            want_push = bool(pending)
-            if want_pop and want_push:
-                kind = "push" if st.last_kind == "pop" else "pop"
-            elif want_pop:
-                kind = "pop"
-            elif want_push:
-                kind = "push"
-            else:
-                kind = None
-
-            if kind is None:
-                # a free issue slot with nothing to do: the only cycles
-                # that count against saturation
-                st.idle_cycles += 1
-
-            if kind == "push":
-                pkt = pending.popleft()
-                ident = table.lookup(pkt.flow)
-                fresh = ident is None
-                if fresh:
-                    if len(table) >= cfg.capacity:
-                        raise CapacityAbort(
-                            f"{len(table)} live flows at capacity "
-                            f"{cfg.capacity} (cycle {st.cycle})")
-                    ident = table.allocate(pkt.flow)
-                    if ident is None:
-                        raise CapacityAbort("id space exhausted")
-                if adapter.push(ident, wide_tick, params.timeout):
-                    st.pushes += 1
-                    if fresh:
-                        st.inserts += 1
-                    else:
-                        st.updates += 1
-                    st.last_kind = "push"
-                    st.gate = CYCLES_PER_OP
-                else:
-                    # back-pressured: requeue and retry next window
-                    pending.appendleft(pkt)
-                    if fresh:
-                        table.release(ident)
-            elif kind == "pop":
-                expiry, ident = adapter.pop_head(wide_tick)
-                table.release(ident)
-                st.pops += 1
-                if dequeue_log is not None:
-                    dequeue_log.append((expiry, ident))
-                st.last_kind = "pop"
-                st.gate = CYCLES_PER_OP
-
-        adapter.step()
-        st.cycle += 1
-        if st.gate:
-            st.gate -= 1
-
-        occ = len(table)
-        if occ > st.max_occ:
-            st.max_occ = occ
-        if occupancy_series is not None and st.cycle % (sample_ticks * p) == 0:
-            occupancy_series.append((st.cycle // p, occ))
-
-        if next_pkt >= total and not pending and not table:
-            break
-        if st.cycle >= max_cycles:
-            raise RuntimeError(f"run did not converge in {max_cycles} cycles")
+    src = _TraceSource(packets, params, dequeue_log, occupancy_series,
+                       sample_ticks)
+    result = arbitrate(src, adapter, params.precision, max_cycles)
+    if result is None:
+        raise RuntimeError(f"run did not converge in {max_cycles} cycles")
+    cycles, idle_cycles = result
+    src.sample(cycles)
 
     # settle any in-flight pipeline work outside the counted horizon so
     # cycle accounting is identical for every backend
@@ -506,22 +522,21 @@ def drive(packets: list[Packet], adapter, params: SimParams, *,
             f"backend still holds {adapter.occupancy()} elements after "
             "the flow table drained")
 
-    cycles = st.cycle
-    ops = st.pushes + st.pops
-    duration_ns = cycles * cycle_ns
+    ops = src.pushes + src.pops
+    duration_ns = cycles * params.cycle_time_ns
     mpps = ops / (duration_ns * 1e-3) if duration_ns else 0.0
     return SimStats(
-        packets=total,
-        pushes=st.pushes,
-        inserts=st.inserts,
-        updates=st.updates,
-        pops=st.pops,
-        max_occupancy=st.max_occ,
-        final_occupancy=len(table),
+        packets=src.total,
+        pushes=src.pushes,
+        inserts=src.inserts,
+        updates=src.updates,
+        pops=src.pops,
+        max_occupancy=src.max_occ,
+        final_occupancy=len(src.table),
         cycles=cycles,
-        ticks=cycles // p,
+        ticks=cycles // params.precision,
         ops_accepted=ops,
-        idle_cycles=st.idle_cycles,
+        idle_cycles=idle_cycles,
         duration_ns=duration_ns,
         modeled_mpps=mpps,
     )

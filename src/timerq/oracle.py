@@ -1,14 +1,15 @@
 """Brute-force oracle and equivalence machinery.
 
 `WideOracleQueue` keeps absolute expiration times as plain Python ints,
-so it cannot wrap and needs no grouping trick.  Replaying one op script
-through it and through a modular backend under identical issue gating
-must produce identical dequeue streams; any difference is a bug in the
-modular arithmetic, the sorting rule, or the array timing.
+so it cannot wrap and needs no grouping trick.  `replay` feeds one op
+script to the harness arbiter; run through this queue and through a
+modular backend it must produce identical dequeue streams, so any
+difference is a bug in the modular arithmetic, the sorting rule, or the
+array timing.
 
 Scripts are deliberately dumb data: a parameter line plus `tick kind
-ident [timeout]` rows, so failing cases diff cleanly and shrink to a
-minimal prefix.
+ident [timeout]` rows in tick order, so failing cases diff cleanly and
+shrink to a minimal prefix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import QueueConfig
-from .harness import SimParams, make_adapter
+from .harness import Adapter, SimParams, arbitrate, make_adapter
 from .systolic import CYCLES_PER_OP
 
 
@@ -71,7 +72,7 @@ class WideOracleQueue:
         return expiry, ident
 
 
-class WideAdapter:
+class WideAdapter(Adapter):
     """Oracle behind the engine's op interface.
 
     The config is only used for validating timeouts; time itself never
@@ -79,21 +80,13 @@ class WideAdapter:
     """
 
     def __init__(self, config: QueueConfig):
-        self.config = config
-        self.queue = WideOracleQueue()
-
-    def ready(self) -> bool:
-        return True
-
-    def step(self):
-        pass
+        super().__init__(config, WideOracleQueue())
 
     def has_expired_head(self, wide_tick: int) -> bool:
         return self.queue.peek_expired(wide_tick) is not None
 
     def pop_head(self, wide_tick: int):
-        expiry, ident = self.queue.pop_expired(wide_tick)
-        return expiry, ident
+        return self.queue.pop_expired(wide_tick)
 
     def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
         if not 0 < timeout <= self.config.max_timeout:
@@ -103,15 +96,6 @@ class WideAdapter:
 
     def remove(self, ident: int) -> bool:
         return self.queue.remove(ident)
-
-    def quiescent(self) -> bool:
-        return True
-
-    def settle(self):
-        pass
-
-    def occupancy(self) -> int:
-        return len(self.queue)
 
 
 # -- op scripts ----------------------------------------------------------
@@ -164,14 +148,25 @@ class OpScript:
                 continue
             if params is None:
                 raise ValueError("script must open with a params line")
-            tick = int(parts[0])
-            kind = parts[1]
-            if kind == "push":
-                ops.append(ScriptOp(tick, "push", int(parts[2]), int(parts[3])))
-            elif kind == "remove":
-                ops.append(ScriptOp(tick, "remove", int(parts[2])))
-            else:
+            kind = parts[1] if len(parts) > 1 else ""
+            if kind not in ("push", "remove"):
                 raise ValueError(f"line {lineno}: unknown op kind {kind!r}")
+            usage = ("tick push ident timeout" if kind == "push"
+                     else "tick remove ident")
+            try:
+                nums = [int(f) for f in parts[:1] + parts[2:]]
+            except ValueError:
+                nums = []
+            if len(nums) != len(usage.split()) - 1:
+                raise ValueError(
+                    f"line {lineno}: expected '{usage}' with integer fields")
+            op = ScriptOp(nums[0], kind, *nums[1:])
+            prev = ops[-1].tick if ops else 0
+            if op.tick < prev:
+                raise ValueError(
+                    f"line {lineno}: tick {op.tick} is earlier than {prev}; "
+                    "ticks must be non-negative and non-decreasing")
+            ops.append(op)
         if params is None:
             raise ValueError("script has no params line")
         return cls(params, ops)
@@ -183,7 +178,11 @@ class OpScript:
     @classmethod
     def load(cls, path) -> "OpScript":
         with open(path) as fh:
-            return cls.from_text(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_text(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def make_script(seed: int, n_ops: int = 400, *, data_width: int = 9,
@@ -265,9 +264,57 @@ class ReplayResult:
         return self.final_wide_tick.bit_length()
 
 
+class _ScriptSource:
+    """Script rows issue in order, each once the clock reaches its tick."""
+
+    def __init__(self, script: OpScript):
+        params = script.params
+        self.pending = script.ops[::-1]    # pop() from the tail: script order
+        self.precision = params.precision
+        self.mask = (1 << params.data_width) - 1
+        self.cov = Coverage()
+        self.pops: list = []
+        self.live: set = set()
+
+    def due(self, cycle: int) -> bool:
+        return bool(self.pending) and (
+            self.pending[-1].tick <= cycle // self.precision)
+
+    def issue(self, adapter, cycle: int, wide_tick: int) -> bool:
+        op = self.pending[-1]
+        cov = self.cov
+        if op.kind == "push":
+            if not adapter.push(op.ident, wide_tick, op.timeout):
+                return False
+            if op.ident in self.live:
+                cov.updates += 1
+            else:
+                cov.inserts += 1
+                self.live.add(op.ident)
+            if (wide_tick & self.mask) + op.timeout > self.mask:
+                cov.wrap_pushes += 1
+        else:
+            adapter.remove(op.ident)
+            if op.ident in self.live:
+                cov.removes_found += 1
+                self.live.discard(op.ident)
+            else:
+                cov.removes_missing += 1
+        self.pending.pop()
+        return True
+
+    def popped(self, expiry: int, ident: int):
+        self.pops.append((expiry, ident))
+        self.cov.pops += 1
+        self.live.discard(ident)
+
+    def done(self) -> bool:
+        return not self.pending and not self.live
+
+
 def replay(script: OpScript, adapter_factory=None, *,
            max_cycles: int = 0) -> ReplayResult:
-    """Drive a script to completion under the standard issue gating.
+    """Drive a script to completion through the harness arbiter.
 
     `adapter_factory` maps SimParams to a backend adapter; default is
     the params' own backend via the harness.  Expired entries are
@@ -278,93 +325,26 @@ def replay(script: OpScript, adapter_factory=None, *,
     reads as a divergence.
     """
     params = script.params
-    if adapter_factory is None:
-        adapter_factory = make_adapter
-    adapter = adapter_factory(params)
+    adapter = (adapter_factory or make_adapter)(params)
     if not max_cycles:
         last_tick = script.ops[-1].tick if script.ops else 0
         horizon = last_tick + (1 << params.timeout_width) + 2
         max_cycles = (horizon * params.precision
                       + (len(script.ops) + params.capacity) * CYCLES_PER_OP
                       + 1000)
-    cov = Coverage()
-    pops: list = []
-    live: set = set()
-    mask = (1 << params.data_width) - 1
-    wrap = 1 << params.data_width
-    pending = list(script.ops)
-    pending.reverse()    # pop() from the tail yields script order
-    cycle = 0
-    gate = 0
-    last_kind = "pop"
-    aborted = None
-    p = params.precision
-
-    while True:
-        wide_tick = cycle // p
-        issued = False
-        if gate == 0 and adapter.ready():
-            op_due = pending and pending[-1].tick <= wide_tick
-            pop_due = adapter.has_expired_head(wide_tick)
-            if op_due and pop_due:
-                kind = "op" if last_kind == "pop" else "pop"
-            elif op_due:
-                kind = "op"
-            elif pop_due:
-                kind = "pop"
-            else:
-                kind = None
-
-            if kind == "op":
-                op = pending.pop()
-                if op.kind == "push":
-                    if adapter.push(op.ident, wide_tick, op.timeout):
-                        if op.ident in live:
-                            cov.updates += 1
-                        else:
-                            cov.inserts += 1
-                            live.add(op.ident)
-                        if (wide_tick & mask) + op.timeout >= wrap:
-                            cov.wrap_pushes += 1
-                        issued = True
-                    else:
-                        pending.append(op)
-                else:
-                    adapter.remove(op.ident)
-                    if op.ident in live:
-                        cov.removes_found += 1
-                        live.discard(op.ident)
-                    else:
-                        cov.removes_missing += 1
-                    issued = True
-                if issued:
-                    last_kind = "op"
-                    gate = CYCLES_PER_OP
-            elif kind == "pop":
-                expiry, ident = adapter.pop_head(wide_tick)
-                pops.append((expiry, ident))
-                cov.pops += 1
-                live.discard(ident)
-                last_kind = "pop"
-                gate = CYCLES_PER_OP
-                issued = True
-
-        adapter.step()
-        cycle += 1
-        if gate:
-            gate -= 1
-
-        if not pending and not live:
-            break
-        if cycle >= max_cycles:
-            aborted = f"no convergence in {max_cycles} cycles"
-            break
-
-    if aborted is None:
+    src = _ScriptSource(script)
+    result = arbitrate(src, adapter, params.precision, max_cycles)
+    if result is None:
+        cycle = max_cycles
+        aborted = f"no convergence in {max_cycles} cycles"
+    else:
+        cycle = result[0]
         adapter.settle()
+        aborted = None
         if adapter.occupancy() != 0:
             aborted = f"{adapter.occupancy()} elements left after final pop"
-    return ReplayResult(pops, cov, cycle, cycle // p, aborted)
+    return ReplayResult(src.pops, src.cov, cycle, cycle // params.precision,
+                        aborted)
 
 
 # -- equivalence ----------------------------------------------------------

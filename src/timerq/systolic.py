@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Element, QueueConfig, msb, sort_key
+from .core import Element, QueueConfig, msb
 
 # One external operation holds a unit for this many cycles; it is also
 # the issue back-pressure interval, so peak acceptance rate is 1/3 per
@@ -168,24 +168,13 @@ def unit_compare(unit: "SystolicUnit", push_data: int, highest: int,
     ]
 
 
-class InterfaceRegister:
-    """Latched op pair travelling to the next unit."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops: tuple = ()
-
-
 class SystolicUnit:
     def __init__(self, m_blocks: int, data_mask: int):
         self.blocks = [ShiftBlock(data_mask) for _ in range(m_blocks)]
         self.phase = IDLE
         self.pending: tuple = ()
-        # M+1 entries: one per slot plus the next unit's head; the last
-        # entry resolves in the finish phase
-        self.compare_flag: list = [None] * (m_blocks + 1)
-        self.id_match: list = [0] * (m_blocks + 1)
+        self.compare_flag: list = [None] * m_blocks
+        self.id_match: list = [0] * m_blocks
         self.work: dict = {}
 
     def occupants(self) -> list[Element]:
@@ -220,10 +209,10 @@ class SystolicQueue:
         self.m_blocks = m_blocks
         self.units = [SystolicUnit(m_blocks, config.data_mask)
                       for _ in range(n_units)]
-        # registers[i] feeds units[i+1]; ops latched at the last unit
-        # fall off the end (callers size the array so that only a push
-        # into a full queue can lose an element this way)
-        self.registers = [InterfaceRegister() for _ in range(n_units)]
+        # registers[i] latches the op tuple for units[i+1]; ops latched at
+        # the last unit fall off the end (callers size the array so that
+        # only a push into a full queue can lose an element this way)
+        self.registers: list[tuple] = [()] * n_units
         self.cycle = 0
         self.issue_gate = 0
         self._staged: tuple | None = None
@@ -277,7 +266,7 @@ class SystolicQueue:
             return False
         if any(unit.phase != IDLE for unit in self.units):
             return False
-        return all(not reg.ops for reg in self.registers)
+        return not any(self.registers)
 
     def snapshot(self) -> list[Element]:
         """Occupied slots head-first across units.  Quiescent state only."""
@@ -326,21 +315,23 @@ class SystolicQueue:
 
     def _feed(self):
         if self._staged is not None:
-            unit = self.units[0]
-            assert unit.phase == IDLE
-            unit.pending = self._staged
-            unit.phase = SEARCH
+            self._start(0, self._staged)
             self._staged = None
-        for i, reg in enumerate(self.registers):
-            if reg.ops:
-                ops = reg.ops
-                reg.ops = ()
+        for i, ops in enumerate(self.registers):
+            if ops:
+                self.registers[i] = ()
                 if i + 1 < self.n_units:
-                    unit = self.units[i + 1]
-                    assert unit.phase == IDLE
-                    unit.pending = ops
-                    unit.phase = SEARCH
+                    self._start(i + 1, ops)
                 # else: propagated past the last unit and dies there
+
+    def _start(self, idx: int, ops: tuple):
+        unit = self.units[idx]
+        if unit.phase != IDLE:
+            raise SimulationHazard(
+                f"cycle {self.cycle}: op fed to unit {idx} while it is "
+                f"in {unit.phase}")
+        unit.pending = ops
+        unit.phase = SEARCH
 
     # -- helpers ------------------------------------------------------------
 
@@ -358,9 +349,6 @@ class SystolicQueue:
                 if not blk.is_empty and blk.ident != exclude_ident:
                     return msb(blk.data, self.config.data_width)
         return 0
-
-    def _key(self, data: int, highest: int) -> int:
-        return sort_key(data, highest, self.config.data_width)
 
     def _clear_head(self) -> Element | None:
         for unit in self.units:
@@ -445,7 +433,6 @@ class SystolicQueue:
             elif isinstance(op, Enqueue):
                 push_data = op.element.data
         highest = self._highest(exclude_ident=rid)
-        nxt = self._next_first(idx)
 
         # both signal vectors index the compacted occupant view, so a
         # transient hole left at the head by an upstream pull does not
@@ -454,9 +441,6 @@ class SystolicQueue:
         unit.id_match = [
             1 if (rid is not None and el.ident == rid) else 0 for el in occ]
         unit.id_match += [0] * (m - len(occ))
-        unit.id_match.append(
-            1 if (rid is not None and nxt is not None and nxt.ident == rid)
-            else 0)
 
         if push_data is not None:
             flags = [_slot_flag(el.ident, el.data, push_data, highest, w)
@@ -464,7 +448,7 @@ class SystolicQueue:
             flags += [1] * (m - len(occ))
         else:
             flags = [None] * m
-        unit.compare_flag = flags + [None]
+        unit.compare_flag = flags
 
         unit.work = {}
         self._emit(idx, SEARCH, self._fmt_ops(unit.pending))
@@ -559,7 +543,6 @@ class SystolicQueue:
             if nxt is not None:
                 flag = _slot_flag(nxt.ident, nxt.data, deferred.data,
                                   highest, self.config.data_width)
-            unit.compare_flag[m] = flag if flag is not None else 1
             if len(occ) < m:
                 # a removal (or an upstream pull) opened a slot at our tail
                 if nxt is None or flag == 1:
@@ -594,11 +577,15 @@ class SystolicQueue:
             # the state-aware decision must never propagate more than
             # the pure table allows
             table = propagate(found_id, enq_hosted, (Enqueue, Remove))
-            assert frozenset(type(o) for o in out) <= table
+            if not {type(o) for o in out} <= table:
+                raise SimulationHazard(
+                    f"cycle {self.cycle}: unit {idx} propagates "
+                    f"{self._fmt_ops(out)} beyond the table")
 
-        reg = self.registers[idx]
-        assert not reg.ops
-        reg.ops = tuple(out)
+        if self.registers[idx]:
+            raise SimulationHazard(
+                f"cycle {self.cycle}: register {idx} overwritten")
+        self.registers[idx] = tuple(out)
         unit.pending = ()
         unit.work = {}
         self._emit(idx, FINISH, f"out={self._fmt_ops(out)}")

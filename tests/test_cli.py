@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from timerq import harness
 from timerq.cli import EXIT_ABORT, EXIT_BADFILE, EXIT_DIVERGED, EXIT_OK, main
 from timerq.harness import load_trace
 from timerq.oracle import OpScript
@@ -96,6 +97,28 @@ class TestRun:
         assert main(["run", *RUN_FLAGS]) == EXIT_OK
         assert from_params == capsys.readouterr().out
 
+    def test_run_params_file_backend_honored(self, tmp_path, monkeypatch,
+                                             capsys):
+        seen = []
+        real_run = harness.run
+
+        def recording_run(params, packets, **kwargs):
+            seen.append(params.backend)
+            return real_run(params, packets, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        params = tmp_path / "wide.params"
+        params.write_text(
+            "timeout = 25\nprecision = 1\ndata_width = 9\n"
+            "timeout_width = 7\nid_width = 6\ncapacity = 32\n"
+            "backend = wide\n"
+            "flows = 8\npackets = 40\nseed = 5\nduration_ns = 1500\n")
+        assert main(["run", "--params", str(params)]) == EXIT_OK
+        assert main(["run", "--params", str(params),
+                     "--backend", "systolic"]) == EXIT_OK
+        assert main(["run", *RUN_FLAGS]) == EXIT_OK
+        assert seen == ["wide", "systolic", "behavioral"]
+
     def test_run_params_missing_generator_values(self, tmp_path, capsys):
         params = tmp_path / "bare.params"
         params.write_text("timeout = 25\n")
@@ -150,6 +173,41 @@ class TestCheck:
     def test_bad_script_path(self, capsys):
         rc = main(["check", "--script", "/nonexistent/s.script"])
         assert rc == EXIT_BADFILE
+
+
+SCRIPT_HEAD = ("params data_width=9 timeout_width=7 id_width=6 "
+               "capacity=16 precision=1\n")
+
+
+class TestBadInput:
+    """Malformed input exits 5 with one stderr line, before simulating."""
+
+    @staticmethod
+    def _one_line_error(rc, capsys, needle):
+        assert rc == EXIT_BADFILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and needle in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_short_script_row(self, tmp_path, capsys):
+        script = tmp_path / "short.script"
+        script.write_text(SCRIPT_HEAD + "3 push\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 2")
+
+    def test_backward_script_ticks(self, tmp_path, capsys):
+        script = tmp_path / "backward.script"
+        script.write_text(SCRIPT_HEAD + "5 push 1 9\n3 push 2 9\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 3")
+
+    def test_params_without_timeout(self, tmp_path, capsys):
+        params = tmp_path / "notimeout.params"
+        params.write_text("precision = 1\nflows = 8\npackets = 40\n")
+        rc = main(["run", "--params", str(params)])
+        self._one_line_error(rc, capsys, str(params))
 
 
 class TestBench:

@@ -8,7 +8,6 @@ from timerq.core import (
     CapacityError,
     Element,
     QueueConfig,
-    ReferenceTimer,
     expiry_tick,
     is_expired,
     make_expiration,
@@ -112,14 +111,6 @@ class TestQueueConfig:
         assert cfg.data_mask == 511
         assert cfg.max_timeout == 127
         assert cfg.max_ident == 31
-
-
-class TestReferenceTimer:
-    def test_wraps_but_counts_wide(self):
-        t = ReferenceTimer(4)
-        t.tick(20)
-        assert t.value == 4
-        assert t.tick_count == 20
 
 
 class TestBehavioralQueue:

@@ -20,6 +20,7 @@ from timerq.harness import (
     run,
     write_trace,
 )
+from timerq.oracle import OpScript, ScriptOp, replay
 
 
 def mini_params(**kw):
@@ -241,6 +242,14 @@ class TestEngine:
         assert stats.pops == 1
         # the retry shifted the push (and so the deadline) by one cycle
         assert log == [(11, 1)]
+
+        # a script source retries a refused push the same way
+        script = OpScript(params, [ScriptOp(0, "push", 1, 10)])
+        adapter = BalkyAdapter(params.queue_config())
+        result = replay(script, lambda p: adapter)
+        assert adapter.balked
+        assert result.aborted is None
+        assert result.pops == [(11, 1)]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

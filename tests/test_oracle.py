@@ -223,9 +223,6 @@ class RawSortAdapter:
                 return True
         return False
 
-    def quiescent(self):
-        return True
-
     def settle(self):
         pass
 

@@ -180,7 +180,7 @@ class TestInterfaceRegister:
         assert q.issue(op)
         for _ in range(CYCLES_PER_OP):
             q.step()
-        ops = q.registers[0].ops
+        ops = q.registers[0]
         q.drain()
         return frozenset(type(o) for o in ops), ops
 
