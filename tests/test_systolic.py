@@ -1,12 +1,15 @@
 """Cycle-accurate array tests: timing contract, propagation rules, and
 equivalence against the sorted reference model."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from timerq.core import BehavioralQueue, Element, QueueConfig, is_expired, make_expiration
+from timerq.harness import SystolicAdapter
+from timerq.oracle import OpScript, replay
 from timerq.systolic import (
     CYCLES_PER_OP,
     Dequeue,
@@ -21,7 +24,7 @@ from timerq.systolic import (
     remove_op,
     unit_compare,
 )
-from conftest import make_config
+from conftest import CORPORA, make_config
 
 
 def fill(queue, pairs):
@@ -341,3 +344,70 @@ def test_update_of_head_crossing_group_boundary():
     arr.drain()
     got = [(e.ident, e.data) for e in arr.snapshot()]
     assert got == [(e.ident, e.data) for e in ref.items] == [(2, 57), (4, 4)]
+
+
+# Observable output of the array on the frozen corpora, recorded from the
+# model before its slot storage was reworked: event-stream line count and
+# sha256 (one line per unit-phase, newline-terminated), sha256 of the
+# dequeue log as "expiry,id" lines, and the propagation-row counts in the
+# order ff, ft, tf, tt (found_id, found_rank).
+STREAM_DIGESTS = {
+    ("short_to", (8, 2)): (
+        1944,
+        "a7022ba66b832ad02d160c06df03371da48fa9cd81c66e92bded0c347c93870f",
+        "3a15a3f970ed743c1e2c23bfe64dfbb04043b8014610af43a929e883bf89b836",
+        (89, 106, 11, 59)),
+    ("short_to", (4, 4)): (
+        1386,
+        "ca1e6279f7afe72074fd7a24a3ac12c319ee3a5ac2522195c316a5b40a8b9dfe",
+        "3a15a3f970ed743c1e2c23bfe64dfbb04043b8014610af43a929e883bf89b836",
+        (0, 180, 0, 70)),
+    ("mid_to", (8, 2)): (
+        2547,
+        "b37f2208aeba96d050bd47c23559985ecb11bb227678b15588a001843bba2754",
+        "2ba50d6da84885239b4152abc738abacdc0149fce6e7dc3627cd1a2bd5f33e10",
+        (237, 27, 158, 57)),
+    ("mid_to", (4, 4)): (
+        1632,
+        "3ca9d07c2f2847062238e71ecf4f8fef3de8c44a1a1453ddd7483c50bb026913",
+        "2ba50d6da84885239b4152abc738abacdc0149fce6e7dc3627cd1a2bd5f33e10",
+        (64, 30, 132, 83)),
+    ("long_to", (8, 2)): (
+        2589,
+        "25a481c211ad3c314b182ce2f3dc3a832584fdca68d38586fb8696fe9ccd59ca",
+        "ea2acdc262456808719e1fb162f955dd488d9693eecba26299daef7b2c069eab",
+        (276, 23, 150, 81)),
+    ("long_to", (4, 4)): (
+        1680,
+        "5181e064edc63a2cdba79d1830af11dd88726612e89472e15c95e75715882e17",
+        "ea2acdc262456808719e1fb162f955dd488d9693eecba26299daef7b2c069eab",
+        (92, 24, 130, 101)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+def test_corpus_event_stream_pinned(case):
+    name, (n_units, m_blocks) = case
+    lines, events_sha, pops_sha, rows = STREAM_DIGESTS[case]
+    script = OpScript.load(CORPORA / f"{name}.script")
+    events: list[str] = []
+    made = []
+
+    def factory(params):
+        adapter = SystolicAdapter(params.queue_config(), n_units, m_blocks,
+                                  event_sink=events.append)
+        made.append(adapter)
+        return adapter
+
+    result = replay(script, factory)
+    assert result.aborted is None
+    assert len(events) == lines
+    digest = hashlib.sha256(
+        "".join(line + "\n" for line in events).encode()).hexdigest()
+    assert digest == events_sha
+    log = "".join(f"{expiry},{ident}\n" for expiry, ident in result.pops)
+    assert hashlib.sha256(log.encode()).hexdigest() == pops_sha
+    counts = made[0].queue.row_counts
+    assert tuple(counts[(found_id, found_rank)]
+                 for found_id in (False, True)
+                 for found_rank in (False, True)) == rows
