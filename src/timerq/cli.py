@@ -20,9 +20,10 @@ from dataclasses import replace
 
 from . import harness, oracle
 from .core import QueueConfig
-from .systolic import CYCLES_PER_OP, SystolicQueue, push_op
+from .systolic import CYCLES_PER_OP, SystolicQueue, check_geometry, push_op
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_ABORT = 3
 EXIT_DIVERGED = 4
 EXIT_BADFILE = 5
@@ -38,9 +39,10 @@ def _queue_args(sub, defaults=True):
     sub.add_argument("--wid", type=int, default=13, help="flow id width, bits")
     sub.add_argument("--capacity", type=int, default=4096)
     sub.add_argument("--units", type=int, default=0,
-                     help="array units (0 = derive from capacity)")
+                     help="array units; unless both --units and --blocks "
+                     "are known, the geometry is derived from capacity")
     sub.add_argument("--blocks", type=int, default=0,
-                     help="blocks per unit (0 = derive from capacity)")
+                     help="blocks per unit (see --units)")
     sub.add_argument("--cycle-ns", type=float, default=2.0)
     sub.add_argument("--backend", choices=("behavioral", "systolic", "wide"),
                      help="default: the params file's, else behavioral")
@@ -52,6 +54,20 @@ def _params_from(args) -> harness.SimParams:
         timeout_width=args.wo, id_width=args.wid, capacity=args.capacity,
         cycle_time_ns=args.cycle_ns, backend=args.backend or "behavioral",
         n_units=args.units, m_blocks=args.blocks)
+
+
+def _bad_geometry(params: harness.SimParams) -> bool:
+    """Report an array geometry that does not fit the queue capacity.
+    A geometry given only in part is derived from the capacity, as
+    `SimParams.geometry` does, so only a full one is checked."""
+    if not (params.n_units and params.m_blocks):
+        return False
+    try:
+        check_geometry(params.n_units, params.m_blocks, params.capacity)
+    except ValueError as exc:
+        print(f"error: --units/--blocks: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _cmd_gen_trace(args) -> int:
@@ -87,11 +103,15 @@ def _cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BADFILE
+        params = replace(params, n_units=args.units or params.n_units,
+                         m_blocks=args.blocks or params.m_blocks)
     else:
         params = _params_from(args)
         if params.timeout is None:
             params = replace(params, timeout=127)
         extra = {}
+    if _bad_geometry(params):
+        return EXIT_USAGE
 
     if args.trace:
         try:
@@ -141,6 +161,9 @@ def _cmd_check(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADFILE
+    if _bad_geometry(replace(script.params, n_units=args.units,
+                             m_blocks=args.blocks)):
+        return EXIT_USAGE
 
     def factory_for(name):
         def make(params):

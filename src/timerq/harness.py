@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .core import (BehavioralQueue, QueueConfig, expiry_tick, is_expired,
                    make_expiration)
-from .systolic import CYCLES_PER_OP, SystolicQueue, pop_op, push_op, remove_op
+from .systolic import (CYCLES_PER_OP, SystolicQueue, check_geometry, pop_op,
+                       push_op, remove_op)
 
 log = logging.getLogger(__name__)
 
@@ -137,8 +138,8 @@ class SimParams:
     capacity: int = 4096
     cycle_time_ns: float = 2.0
     backend: str = "behavioral"  # behavioral | systolic | wide
-    n_units: int = 0             # systolic geometry; 0 picks a square-ish one
-    m_blocks: int = 0
+    n_units: int = 0             # systolic geometry; unless both are set,
+    m_blocks: int = 0            # geometry() picks a square-ish one
 
     def queue_config(self) -> QueueConfig:
         return QueueConfig(
@@ -199,7 +200,13 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     sim_kwargs.update(overrides)
     if "timeout" not in sim_kwargs:
         raise ValueError(f"{path}: no timeout given")
-    return SimParams(**sim_kwargs), extra
+    params = SimParams(**sim_kwargs)
+    if params.n_units and params.m_blocks:
+        try:
+            check_geometry(params.n_units, params.m_blocks, params.capacity)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return params, extra
 
 
 def bundled_params(name: str = "univ_scale"):

@@ -145,6 +145,10 @@ class OpScript:
                         raise ValueError(f"line {lineno}: unknown param {key}")
                     kwargs[key] = int(value)
                 params = SimParams(timeout=1, **kwargs)
+                try:
+                    config = params.queue_config()
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
                 continue
             if params is None:
                 raise ValueError("script must open with a params line")
@@ -161,6 +165,12 @@ class OpScript:
                 raise ValueError(
                     f"line {lineno}: expected '{usage}' with integer fields")
             op = ScriptOp(nums[0], kind, *nums[1:])
+            if not 0 < op.ident <= config.max_ident:
+                raise ValueError(f"line {lineno}: ident {op.ident} outside "
+                                 f"[1, {config.max_ident}]")
+            if kind == "push" and not 0 < op.timeout <= config.max_timeout:
+                raise ValueError(f"line {lineno}: timeout {op.timeout} "
+                                 f"outside (0, {config.max_timeout}]")
             prev = ops[-1].tick if ops else 0
             if op.tick < prev:
                 raise ValueError(

@@ -16,11 +16,23 @@ the next level's head has stabilized by the finish phase.  Elements are
 moved, never copied, so `occupancy` counts live contents exactly; the
 transient hole this leaves at a neighbour's head slot is compacted by
 the dequeue that is latched toward it in the same finish.
+
+Slot layout: each unit stores its M slots as two flat int lists, `ids`
+and `data`, plus a count of occupied slots.  An empty slot is id 0 with
+all-ones data, so slot indices (and the (unit, slot) keys the write
+hazard detector records) address the same storage the hardware has.
+Occupied slots form a prefix of the unit, except for the transient head
+hole described above.  The three phases work on these ints only.
+`Element` objects are built at the API edge alone: `peek`, `snapshot`,
+the pop and the downstream pull (which hand an element out), and the
+pushed-first and deferred elements that travel in interface registers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .core import Element, QueueConfig, msb
 
@@ -122,72 +134,96 @@ def remove_op(ident: int) -> ExternalOp:
     return ExternalOp("remove", ident)
 
 
-class ShiftBlock:
-    """One element slot.  Empty encoding: id 0 with all-ones data."""
-
-    __slots__ = ("ident", "data")
-
-    def __init__(self, data_mask: int):
-        self.ident = 0
-        self.data = data_mask
-
-    @property
-    def is_empty(self) -> bool:
-        return self.ident == 0
-
-    def element(self) -> Element | None:
-        return None if self.ident == 0 else Element(self.ident, self.data)
-
-
-def _slot_flag(slot_ident: int, slot_data: int, push_data: int,
-               highest: int, data_width: int) -> int:
-    """Per-slot comparison: 1 means the incoming element belongs at or
-    before this slot.  Empty slots are always insertable.  Ties give 0
-    so equal timestamps keep arrival order."""
-    if slot_ident == 0:
-        return 1
-    if highest == 0:
-        return 1 if slot_data > push_data else 0
-    s_msb = msb(slot_data, data_width)
-    p_msb = msb(push_data, data_width)
-    if s_msb == p_msb:
-        return 1 if slot_data > push_data else 0
-    if s_msb == 0 and p_msb == 1:
-        # resident already wrapped past zero, incoming has not: sooner
-        return 1
-    return 0
+def _compare_flags(data, push_data: int, highest: int,
+                   data_width: int) -> list[bool]:
+    """Comparison flags of occupied slots' timestamps against an incoming
+    timestamp, under the global head-group bit: True means the incoming
+    element sorts strictly before that slot's element, i.e.
+    sort_key(slot) > sort_key(push).  Ties give False so equal
+    timestamps keep arrival order."""
+    if highest:
+        # sort_key flips the MSB in the upper head group
+        half = 1 << (data_width - 1)
+        return list(map((push_data ^ half).__lt__, map(half.__xor__, data)))
+    return list(map(push_data.__lt__, data))
 
 
 def unit_compare(unit: "SystolicUnit", push_data: int, highest: int,
                  data_width: int) -> list[int]:
-    """Comparison flags for each slot of a unit against an incoming
-    timestamp, under the global head-group bit."""
-    return [
-        _slot_flag(blk.ident, blk.data, push_data, highest, data_width)
-        for blk in unit.blocks
-    ]
+    """Per-slot comparison flags for a whole unit: 1 means the incoming
+    element belongs at or before this slot.  Empty slots are always
+    insertable."""
+    flags = _compare_flags(unit.data, push_data, highest, data_width)
+    return [int(flag or ident == 0) for ident, flag in zip(unit.ids, flags)]
+
+
+# a combined enqueue+remove pair's propagation row, by (found_id, found_rank)
+_PAIR_TABLE = {(found_id, found_rank): propagate(found_id, found_rank,
+                                                 (Enqueue, Remove))
+               for found_id in (False, True) for found_rank in (False, True)}
 
 
 class SystolicUnit:
     def __init__(self, m_blocks: int, data_mask: int):
-        self.blocks = [ShiftBlock(data_mask) for _ in range(m_blocks)]
+        self.ids = [0] * m_blocks
+        self.data = [data_mask] * m_blocks
+        self.count = 0              # occupied slots
         self.phase = IDLE
         self.pending: tuple = ()
-        self.compare_flag: list = [None] * m_blocks
-        self.id_match: list = [0] * m_blocks
-        self.work: dict = {}
+        self.ops: tuple = ()        # _ops(pending)
+        # search -> shift-set: compare flags over the occupants (1: the
+        # incoming element sorts before that occupant), and the occupant
+        # index of the removal target, -1 when absent
+        self.flags: list | None = None
+        self.match = -1
+        # shift-set -> finish: (removed_found, deferred, spill, enq_hosted)
+        self.work: tuple = ()
 
-    def occupants(self) -> list[Element]:
-        return [blk.element() for blk in self.blocks if not blk.is_empty]
+    def occupants(self) -> tuple[list[int], list[int]]:
+        """Fresh (ids, data) lists of the occupied slots, in slot order.
+        They form a prefix, or a prefix behind one head hole left when
+        the upstream unit pulled; any other layout is a model fault."""
+        ids, data, k = self.ids, self.data, self.count
+        m = len(ids)
+        if k == m:
+            return ids[:], data[:]
+        first_hole = ids.index(0)
+        if first_hole == k:
+            return ids[:k], data[:k]
+        if first_hole == 0 and (k == m - 1 or ids.index(0, 1) == k + 1):
+            return ids[1:k + 1], data[1:k + 1]
+        raise SimulationHazard(
+            f"{k} occupied slots not contiguous in unit ids {ids}")
 
-    def first_element(self) -> Element | None:
-        for blk in self.blocks:
-            if not blk.is_empty:
-                return blk.element()
-        return None
 
-    def occupied_count(self) -> int:
-        return sum(1 for blk in self.blocks if not blk.is_empty)
+def _ops(pending) -> tuple:
+    """(enqueue, remove, has_dequeue, push_first) of an op tuple."""
+    enq = rem = pf = None
+    has_deq = False
+    for op in pending:
+        if isinstance(op, Enqueue):
+            enq = op
+        elif isinstance(op, Remove):
+            rem = op
+        elif isinstance(op, Dequeue):
+            has_deq = True
+        else:
+            pf = op
+    return enq, rem, has_deq, pf
+
+
+def check_geometry(n_units: int, m_blocks: int, capacity: int):
+    """Raise ValueError unless an array of n_units x m_blocks can hold
+    exactly `capacity` elements."""
+    if n_units < 1:
+        raise ValueError("need at least one unit")
+    if m_blocks < 2:
+        raise ValueError(
+            "need at least two blocks per unit: the boundary slot "
+            "must be distinct from the head slot")
+    if n_units * m_blocks != capacity:
+        raise ValueError(
+            f"geometry {n_units}x{m_blocks} != capacity {capacity}")
 
 
 class SystolicQueue:
@@ -195,15 +231,7 @@ class SystolicQueue:
 
     def __init__(self, config: QueueConfig, n_units: int, m_blocks: int,
                  event_sink=None):
-        if n_units < 1:
-            raise ValueError("need at least one unit")
-        if m_blocks < 2:
-            raise ValueError(
-                "need at least two blocks per unit: the boundary slot "
-                "must be distinct from the head slot")
-        if n_units * m_blocks != config.capacity:
-            raise ValueError(
-                f"geometry {n_units}x{m_blocks} != capacity {config.capacity}")
+        check_geometry(n_units, m_blocks, config.capacity)
         self.config = config
         self.n_units = n_units
         self.m_blocks = m_blocks
@@ -221,7 +249,13 @@ class SystolicQueue:
         self.row_counts: dict[tuple[bool, bool], int] = {
             (a, b): 0 for a in (False, True) for b in (False, True)}
         self.event_sink = event_sink
-        self._writes: dict = {}
+        # unit index -> slots written this cycle
+        self._writes: dict[int, set[int]] = {}
+        self._active: set[int] = set()      # units not idle
+        self._latched: list[int] = []       # registers holding ops
+        self._slots = range(m_blocks)
+        self._empty_ids = [0] * m_blocks
+        self._empty_data = [config.data_mask] * m_blocks
 
     # -- external interface -------------------------------------------------
 
@@ -241,8 +275,10 @@ class SystolicQueue:
         elif op.kind == "pop":
             # the head value is combinationally readable at acceptance;
             # the three cycles cover the structural left shift
-            if self._clear_head() is None:
+            unit, s_idx = self._head()
+            if unit is None:
                 return False
+            self._clear(unit, s_idx)
             self._staged = (Dequeue(),)
         elif op.kind == "remove":
             self._staged = (Remove(op.ident),)
@@ -252,21 +288,17 @@ class SystolicQueue:
         return True
 
     def peek(self) -> Element | None:
-        for unit in self.units:
-            el = unit.first_element()
-            if el is not None:
-                return el
-        return None
+        unit, s_idx = self._head()
+        if unit is None:
+            return None
+        return Element(unit.ids[s_idx], unit.data[s_idx])
 
     def occupancy(self) -> int:
-        return sum(unit.occupied_count() for unit in self.units)
+        return sum(unit.count for unit in self.units)
 
     def is_quiescent(self) -> bool:
-        if self._staged is not None:
-            return False
-        if any(unit.phase != IDLE for unit in self.units):
-            return False
-        return not any(self.registers)
+        return (self._staged is None and not self._active
+                and not self._latched)
 
     def snapshot(self) -> list[Element]:
         """Occupied slots head-first across units.  Quiescent state only."""
@@ -275,15 +307,15 @@ class SystolicQueue:
         out = []
         seen_gap = False
         for unit in self.units:
-            for blk in unit.blocks:
-                if blk.is_empty:
+            for ident, data in zip(unit.ids, unit.data):
+                if ident == 0:
                     seen_gap = True
                 elif seen_gap:
                     raise RuntimeError(
                         "occupied slot behind an empty slot: contiguity "
                         "violated")
                 else:
-                    out.append(blk.element())
+                    out.append(Element(ident, data))
         return out
 
     def drain(self, limit: int | None = None) -> int:
@@ -302,13 +334,14 @@ class SystolicQueue:
         self.cycle += 1
         self._writes = {}
         self._feed()
-        for idx in range(self.n_units - 1, -1, -1):
-            phase = self.units[idx].phase
+        units = self.units
+        for idx in sorted(self._active, reverse=True):
+            phase = units[idx].phase
             if phase == SEARCH:
                 self._do_search(idx)
             elif phase == SHIFT_SET:
                 self._do_shift_set(idx)
-            elif phase == FINISH:
+            else:
                 self._do_finish(idx)
         if self.issue_gate:
             self.issue_gate -= 1
@@ -317,12 +350,15 @@ class SystolicQueue:
         if self._staged is not None:
             self._start(0, self._staged)
             self._staged = None
-        for i, ops in enumerate(self.registers):
-            if ops:
-                self.registers[i] = ()
+        if self._latched:
+            registers = self.registers
+            for i in sorted(self._latched):
+                ops = registers[i]
+                registers[i] = ()
                 if i + 1 < self.n_units:
                     self._start(i + 1, ops)
                 # else: propagated past the last unit and dies there
+            self._latched = []
 
     def _start(self, idx: int, ops: tuple):
         unit = self.units[idx]
@@ -331,11 +367,25 @@ class SystolicQueue:
                 f"cycle {self.cycle}: op fed to unit {idx} while it is "
                 f"in {unit.phase}")
         unit.pending = ops
+        unit.ops = _ops(ops)
         unit.phase = SEARCH
+        self._active.add(idx)
 
     # -- helpers ------------------------------------------------------------
 
-    def _highest(self, exclude_ident: int | None = None) -> int:
+    def _head(self, exclude_ident: int = 0):
+        """(unit, slot) of the queue head, skipping `exclude_ident`;
+        (None, -1) when there is none."""
+        slots = self._slots
+        for unit in self.units:
+            if unit.count:
+                ids = unit.ids
+                for s_idx in compress(slots, ids):
+                    if ids[s_idx] != exclude_ident:
+                        return unit, s_idx
+        return None, -1
+
+    def _highest(self, exclude_ident: int = 0) -> int:
         """MSB of the queue head, the global sort-group signal.
 
         An in-flight update must base its comparisons on the head that
@@ -344,66 +394,70 @@ class SystolicQueue:
         ordering falls apart otherwise when the update hits the head
         and the next element sits in the other timestamp group.
         """
-        for unit in self.units:
-            for blk in unit.blocks:
-                if not blk.is_empty and blk.ident != exclude_ident:
-                    return msb(blk.data, self.config.data_width)
-        return 0
+        unit, s_idx = self._head(exclude_ident)
+        if unit is None:
+            return 0
+        return msb(unit.data[s_idx], self.config.data_width)
 
-    def _clear_head(self) -> Element | None:
-        for unit in self.units:
-            for blk in unit.blocks:
-                if not blk.is_empty:
-                    el = blk.element()
-                    blk.ident = 0
-                    blk.data = self.config.data_mask
-                    return el
-        return None
-
-    def _next_first(self, idx: int) -> Element | None:
+    def _next_first(self, idx: int) -> int:
+        """Slot of the downstream neighbour's first element, or -1."""
         if idx + 1 >= self.n_units:
-            return None
-        return self.units[idx + 1].first_element()
+            return -1
+        unit = self.units[idx + 1]
+        if not unit.count:
+            return -1
+        return next(compress(self._slots, unit.ids))
+
+    def _clear(self, unit: SystolicUnit, s_idx: int) -> Element:
+        el = Element(unit.ids[s_idx], unit.data[s_idx])
+        unit.ids[s_idx] = 0
+        unit.data[s_idx] = self.config.data_mask
+        unit.count -= 1
+        return el
 
     def _take_next_first(self, idx: int) -> Element | None:
         """Move the downstream head into the caller's hands.  The hole
         this leaves at the neighbour's head is compacted by the dequeue
         latched toward it in the same finish."""
-        if idx + 1 >= self.n_units:
+        s_idx = self._next_first(idx)
+        if s_idx < 0:
             return None
-        for s_idx, blk in enumerate(self.units[idx + 1].blocks):
-            if not blk.is_empty:
-                el = blk.element()
-                blk.ident = 0
-                blk.data = self.config.data_mask
-                self._record_write(idx + 1, s_idx)
-                return el
-        return None
+        self._record_writes(idx + 1, {s_idx})
+        return self._clear(self.units[idx + 1], s_idx)
 
-    def _record_write(self, u_idx: int, s_idx: int):
-        key = (u_idx, s_idx)
-        if key in self._writes:
+    def _record_writes(self, u_idx: int, slots: set[int]):
+        """Add `slots` (a set the caller gives up) to this cycle's
+        writes to unit `u_idx`."""
+        seen = self._writes.get(u_idx)
+        if seen is None:
+            self._writes[u_idx] = slots
+            return
+        if not seen.isdisjoint(slots):
             raise SimulationHazard(
                 f"cycle {self.cycle}: double write to unit {u_idx} "
-                f"slot {s_idx}")
-        self._writes[key] = True
+                f"slot {min(seen & slots)}")
+        seen |= slots
 
-    def _apply_occupants(self, idx: int, occ: list[Element]):
+    def _write(self, idx: int, ids: list[int], data: list[int]):
+        """Store a unit's occupants head-first, empties behind them,
+        recording every slot whose contents change."""
         unit = self.units[idx]
-        mask = self.config.data_mask
-        for s_idx, blk in enumerate(unit.blocks):
-            if s_idx < len(occ):
-                new_ident, new_data = occ[s_idx].ident, occ[s_idx].data
-            else:
-                new_ident, new_data = 0, mask
-            if blk.ident != new_ident or blk.data != new_data:
-                self._record_write(idx, s_idx)
-                blk.ident = new_ident
-                blk.data = new_data
+        k = len(ids)
+        ids += self._empty_ids[k:]
+        data += self._empty_data[k:]
+        if ids != unit.ids or data != unit.data:
+            slots = self._slots
+            changed = set(compress(slots, map(ne, ids, unit.ids)))
+            changed.update(compress(slots, map(ne, data, unit.data)))
+            self._record_writes(idx, changed)
+            unit.ids = ids
+            unit.data = data
+        unit.count = k
 
-    def _emit(self, idx: int, phase: str, detail: str):
+    def _emit(self, idx: int, phase: str, ops, prefix: str = ""):
         if self.event_sink is not None:
-            self.event_sink(f"{self.cycle},u{idx},{phase},{detail}")
+            self.event_sink(
+                f"{self.cycle},u{idx},{phase},{prefix}{self._fmt_ops(ops)}")
 
     @staticmethod
     def _fmt_ops(ops) -> str:
@@ -423,161 +477,123 @@ class SystolicQueue:
 
     def _do_search(self, idx: int):
         unit = self.units[idx]
-        m = self.m_blocks
-        w = self.config.data_width
-        rid = None
-        push_data = None
-        for op in unit.pending:
-            if isinstance(op, Remove):
-                rid = op.ident
-            elif isinstance(op, Enqueue):
-                push_data = op.element.data
-        highest = self._highest(exclude_ident=rid)
+        enq, rem, _, _ = unit.ops
+        rid = rem.ident if rem is not None else 0
+        highest = self._highest(rid)
 
-        # both signal vectors index the compacted occupant view, so a
-        # transient hole left at the head by an upstream pull does not
-        # skew positions; the op's own shift closes that hole anyway
-        occ = unit.occupants()
-        unit.id_match = [
-            1 if (rid is not None and el.ident == rid) else 0 for el in occ]
-        unit.id_match += [0] * (m - len(occ))
+        # both signals index the compacted occupant view, so a transient
+        # hole left at the head by an upstream pull does not skew
+        # positions; the op's own shift closes that hole anyway
+        ids, data = unit.occupants()
+        unit.match = ids.index(rid) if rid and rid in ids else -1
+        unit.flags = (None if enq is None else _compare_flags(
+            data, enq.element.data, highest, self.config.data_width))
 
-        if push_data is not None:
-            flags = [_slot_flag(el.ident, el.data, push_data, highest, w)
-                     for el in occ]
-            flags += [1] * (m - len(occ))
-        else:
-            flags = [None] * m
-        unit.compare_flag = flags
-
-        unit.work = {}
-        self._emit(idx, SEARCH, self._fmt_ops(unit.pending))
+        self._emit(idx, SEARCH, unit.pending)
         unit.phase = SHIFT_SET
 
     def _do_shift_set(self, idx: int):
         unit = self.units[idx]
         m = self.m_blocks
-        enq = rem = None
-        has_deq = has_pf = False
-        for op in unit.pending:
-            if isinstance(op, Enqueue):
-                enq = op
-            elif isinstance(op, Remove):
-                rem = op
-            elif isinstance(op, Dequeue):
-                has_deq = True
-            else:
-                has_pf = op
-        occ = unit.occupants()
-        original_count = len(occ)
+        enq, rem, has_deq, pf = unit.ops
+        ids, data = unit.occupants()
+        original_count = len(ids)
 
         removed_found = False
-        if rem is not None:
-            for i, el in enumerate(occ):
-                if el.ident == rem.ident:
-                    del occ[i]
-                    removed_found = True
-                    break
+        if rem is not None and rem.ident in ids:
+            i = ids.index(rem.ident)
+            del ids[i], data[i]
+            removed_found = True
 
-        if has_pf:
-            occ.insert(0, has_pf.element)
+        if pf is not None:
+            ids.insert(0, pf.element.ident)
+            data.insert(0, pf.element.data)
 
         deferred = None
         enq_hosted = False
         if enq is not None:
-            flags = unit.compare_flag
-            # insertion index among the post-removal survivors: count the
-            # zero-flag residents (they sort at or before the incoming
-            # element), skipping the one the remove deleted
-            pos = 0
-            survivor_i = 0
-            removed_seen = False
-            for el_i in range(original_count):
-                if (rem is not None and not removed_seen
-                        and unit.id_match[el_i] == 1):
-                    removed_seen = True
-                    continue
-                if flags[el_i] == 0:
-                    pos = survivor_i + 1
-                survivor_i += 1
-            if has_pf:
+            # insertion index among the post-removal survivors: one past
+            # the last zero-flag resident (they sort at or before the
+            # incoming element), leaving out the one the remove deleted
+            flags = unit.flags[:original_count]
+            if rem is not None and 0 <= unit.match < original_count:
+                del flags[unit.match]
+            n = len(flags)
+            flags.reverse()
+            pos = n - flags.index(False) if False in flags else 0
+            if pf is not None:
                 pos += 1  # the pushed-first element sits ahead of everyone
             # a slot vacated by an upstream pull is a hole, not a true
             # empty: the tail may still continue in the next unit
             true_empty = original_count < (m - 1 if has_deq else m)
-            if pos < len(occ):
-                occ.insert(pos, enq.element)
-                enq_hosted = True
-            elif true_empty:
-                # genuinely short unit: contiguity says nothing lives
-                # downstream, so the tail position is final
-                occ.append(enq.element)
+            if pos < len(ids) or true_empty:
+                # a genuinely short unit hosts at its tail: contiguity
+                # says nothing lives downstream, so that position is final
+                ids.insert(pos, enq.element.ident)
+                data.insert(pos, enq.element.data)
                 enq_hosted = True
             else:
                 deferred = enq.element
 
         spill = None
-        if len(occ) > m:
-            spill = occ.pop()
+        if len(ids) > m:
+            spill = Element(ids.pop(), data.pop())
 
-        self._apply_occupants(idx, occ)
-        unit.work.update(
-            rem=rem, removed_found=removed_found, has_deq=has_deq,
-            deferred=deferred, spill=spill, enq=enq, enq_hosted=enq_hosted)
-        self._emit(idx, SHIFT_SET, self._fmt_ops(unit.pending))
+        self._write(idx, ids, data)
+        unit.work = (removed_found, deferred, spill, enq_hosted)
+        self._emit(idx, SHIFT_SET, unit.pending)
         unit.phase = FINISH
 
     def _do_finish(self, idx: int):
         unit = self.units[idx]
         m = self.m_blocks
-        work = unit.work
-        occ = unit.occupants()
+        enq, rem, has_deq, _ = unit.ops
+        removed_found, deferred, spill, enq_hosted = unit.work
+        ids, data = unit.occupants()
         out = []
-        enq_hosted = work.get("enq_hosted", False)
 
-        deferred = work.get("deferred")
         if deferred is not None:
-            highest = self._highest()
-            nxt = self._next_first(idx)
-            flag = None
-            if nxt is not None:
-                flag = _slot_flag(nxt.ident, nxt.data, deferred.data,
-                                  highest, self.config.data_width)
-            if len(occ) < m:
+            s_idx = self._next_first(idx)
+            # the neighbour's head sorts after the deferred element
+            after = s_idx >= 0 and _compare_flags(
+                (self.units[idx + 1].data[s_idx],), deferred.data,
+                self._highest(), self.config.data_width)[0]
+            if len(ids) < m:
                 # a removal (or an upstream pull) opened a slot at our tail
-                if nxt is None or flag == 1:
-                    occ.append(deferred)
+                if s_idx < 0 or after:
+                    ids.append(deferred.ident)
+                    data.append(deferred.data)
                     enq_hosted = True
                 else:
                     grabbed = self._take_next_first(idx)
-                    occ.append(grabbed)
+                    ids.append(grabbed.ident)
+                    data.append(grabbed.data)
                     out.append(Enqueue(deferred))
                     out.append(Dequeue())
             else:
                 out.append(Enqueue(deferred))
-        elif (work.get("removed_found") or work.get("has_deq")) and len(occ) < m:
+        elif (removed_found or has_deq) and len(ids) < m:
             grabbed = self._take_next_first(idx)
             if grabbed is not None:
-                occ.append(grabbed)
+                ids.append(grabbed.ident)
+                data.append(grabbed.data)
                 out.append(Dequeue())
 
-        if work.get("spill") is not None:
-            out.append(PushFirst(work["spill"]))
+        if spill is not None:
+            out.append(PushFirst(spill))
 
-        rem = work.get("rem")
-        if rem is not None and not work.get("removed_found"):
-            if self._next_first(idx) is not None:
-                out.append(Remove(rem.ident))
+        if (rem is not None and not removed_found
+                and self._next_first(idx) >= 0):
+            out.append(Remove(rem.ident))
 
-        self._apply_occupants(idx, occ)
+        self._write(idx, ids, data)
 
-        if work.get("enq") is not None and rem is not None:
-            found_id = bool(work.get("removed_found"))
-            self.row_counts[(found_id, enq_hosted)] += 1
+        if enq is not None and rem is not None:
+            self.row_counts[(removed_found, enq_hosted)] += 1
             # the state-aware decision must never propagate more than
             # the pure table allows
-            table = propagate(found_id, enq_hosted, (Enqueue, Remove))
-            if not {type(o) for o in out} <= table:
+            if not {type(o) for o in out} <= _PAIR_TABLE[(removed_found,
+                                                           enq_hosted)]:
                 raise SimulationHazard(
                     f"cycle {self.cycle}: unit {idx} propagates "
                     f"{self._fmt_ops(out)} beyond the table")
@@ -586,7 +602,10 @@ class SystolicQueue:
             raise SimulationHazard(
                 f"cycle {self.cycle}: register {idx} overwritten")
         self.registers[idx] = tuple(out)
-        unit.pending = ()
-        unit.work = {}
-        self._emit(idx, FINISH, f"out={self._fmt_ops(out)}")
+        if out:
+            self._latched.append(idx)
+        unit.pending = unit.ops = unit.work = ()
+        unit.flags = None
+        self._emit(idx, FINISH, out, "out=")
         unit.phase = IDLE
+        self._active.discard(idx)

@@ -6,7 +6,8 @@ import subprocess
 import pytest
 
 from timerq import harness
-from timerq.cli import EXIT_ABORT, EXIT_BADFILE, EXIT_DIVERGED, EXIT_OK, main
+from timerq.cli import (EXIT_ABORT, EXIT_BADFILE, EXIT_DIVERGED, EXIT_OK,
+                        EXIT_USAGE, main)
 from timerq.harness import load_trace
 from timerq.oracle import OpScript
 from conftest import CORPORA
@@ -119,6 +120,57 @@ class TestRun:
         assert main(["run", *RUN_FLAGS]) == EXIT_OK
         assert seen == ["wide", "systolic", "behavioral"]
 
+    def test_run_params_file_geometry_override(self, tmp_path, monkeypatch,
+                                               capsys):
+        seen = []
+        real_run = harness.run
+
+        def recording_run(params, packets, **kwargs):
+            seen.append((params.n_units, params.m_blocks))
+            return real_run(params, packets, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        params = tmp_path / "mini.params"
+        params.write_text(
+            "timeout = 25\nprecision = 1\ndata_width = 9\n"
+            "timeout_width = 7\nid_width = 6\ncapacity = 32\n"
+            "flows = 8\npackets = 40\nseed = 5\nduration_ns = 1500\n")
+        assert main(["run", "--params", str(params), "--backend", "systolic",
+                     "--units", "16", "--blocks", "2"]) == EXIT_OK
+        assert main(["run", "--params", str(params)]) == EXIT_OK
+        assert seen == [(16, 2), (0, 0)]
+
+    def test_partial_geometry_is_derived(self, tmp_path, monkeypatch,
+                                         capsys):
+        """--units or --blocks given alone, on the command line or in a
+        params file, leaves the geometry to be derived from the
+        capacity, as SimParams.geometry does."""
+        seen = []
+        real_run = harness.run
+
+        def recording_run(params, packets, **kwargs):
+            seen.append(params.geometry())
+            return real_run(params, packets, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        assert main(["run", *RUN_FLAGS, "--backend", "systolic",
+                     "--units", "64"]) == EXIT_OK
+        assert main(["run", *RUN_FLAGS, "--backend", "systolic",
+                     "--blocks", "3"]) == EXIT_OK
+        params = tmp_path / "units.params"
+        params.write_text(
+            "timeout = 25\nprecision = 1\ndata_width = 9\n"
+            "timeout_width = 7\nid_width = 6\ncapacity = 32\n"
+            "n_units = 4\nbackend = systolic\n"
+            "flows = 8\npackets = 40\nseed = 5\nduration_ns = 1500\n")
+        assert main(["run", "--params", str(params)]) == EXIT_OK
+        # the file's n_units and a --blocks override make a full geometry
+        assert main(["run", "--params", str(params),
+                     "--blocks", "8"]) == EXIT_OK
+        assert seen == [(8, 4), (8, 4), (8, 4), (4, 8)]
+        assert main(["check", "--script", str(CORPORA / "short_to.script"),
+                     "--right", "systolic", "--units", "4"]) == EXIT_OK
+
     def test_run_params_missing_generator_values(self, tmp_path, capsys):
         params = tmp_path / "bare.params"
         params.write_text("timeout = 25\n")
@@ -180,11 +232,12 @@ SCRIPT_HEAD = ("params data_width=9 timeout_width=7 id_width=6 "
 
 
 class TestBadInput:
-    """Malformed input exits 5 with one stderr line, before simulating."""
+    """Malformed input exits 5, and an array geometry that does not fit
+    the capacity exits 2, with one stderr line, before simulating."""
 
     @staticmethod
-    def _one_line_error(rc, capsys, needle):
-        assert rc == EXIT_BADFILE
+    def _one_line_error(rc, capsys, needle, code=EXIT_BADFILE):
+        assert rc == code
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -202,6 +255,44 @@ class TestBadInput:
         script.write_text(SCRIPT_HEAD + "5 push 1 9\n3 push 2 9\n")
         rc = main(["check", "--script", str(script)])
         self._one_line_error(rc, capsys, "line 3")
+
+    def test_script_ident_out_of_range(self, tmp_path, capsys):
+        script = tmp_path / "ident.script"
+        script.write_text(SCRIPT_HEAD + "0 push 99 10\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 2: ident 99")
+
+    def test_script_timeout_out_of_range(self, tmp_path, capsys):
+        script = tmp_path / "timeout.script"
+        script.write_text(SCRIPT_HEAD + "0 push 3 200\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 2: timeout 200")
+
+    def test_script_params_rejected_by_config(self, tmp_path, capsys):
+        script = tmp_path / "widths.script"
+        script.write_text("params data_width=7 timeout_width=7 id_width=6 "
+                          "capacity=16 precision=1\n0 push 3 20\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 1: data_width 7")
+
+    def test_check_geometry_mismatch(self, capsys):
+        rc = main(["check", "--script", str(CORPORA / "short_to.script"),
+                   "--right", "systolic", "--units", "3", "--blocks", "5"])
+        self._one_line_error(rc, capsys, "geometry 3x5 != capacity 16",
+                             code=EXIT_USAGE)
+
+    def test_run_geometry_mismatch(self, capsys):
+        rc = main(["run", "--params", "univ_scale", "--backend", "systolic",
+                   "--units", "3", "--blocks", "5"])
+        self._one_line_error(rc, capsys, "geometry 3x5 != capacity 4096",
+                             code=EXIT_USAGE)
+
+    def test_params_geometry_mismatch(self, tmp_path, capsys):
+        params = tmp_path / "geometry.params"
+        params.write_text("timeout = 25\ncapacity = 32\nid_width = 6\n"
+                          "n_units = 3\nm_blocks = 5\n")
+        rc = main(["run", "--params", str(params)])
+        self._one_line_error(rc, capsys, "geometry 3x5 != capacity 32")
 
     def test_params_without_timeout(self, tmp_path, capsys):
         params = tmp_path / "notimeout.params"

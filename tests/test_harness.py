@@ -272,6 +272,22 @@ class TestBackendAgreement:
         assert logs["behavioral"] == logs["systolic"] == logs["wide"]
         assert texts["behavioral"] == texts["systolic"] == texts["wide"]
 
+    def test_wide_shallow_array_spans_units(self):
+        """A 4x64 array with more live flows than one unit holds, so the
+        systolic run pulls elements across unit boundaries and compacts
+        the head holes those pulls leave."""
+        pkts = gen_trace(150, 300, seed=7, duration_ns=1200)
+        results = {}
+        for backend in ("behavioral", "systolic", "wide"):
+            params = mini_params(backend=backend, timeout=127, precision=4,
+                                 capacity=256, id_width=9, n_units=4,
+                                 m_blocks=64)
+            log = []
+            results[backend] = (log, run(params, pkts, dequeue_log=log))
+        assert (results["behavioral"] == results["systolic"]
+                == results["wide"])
+        assert results["systolic"][1].max_occupancy > 64
+
     def test_register_width_does_not_change_behavior(self):
         narrow = self._mini_run("behavioral", data_width=10)
         wide = self._mini_run("behavioral", data_width=12)

@@ -48,9 +48,8 @@ class TestGeometry:
         cfg = make_config(capacity=4)
         q = SystolicQueue(cfg, 2, 2)
         for unit in q.units:
-            for blk in unit.blocks:
-                assert blk.ident == 0
-                assert blk.data == cfg.data_mask
+            assert unit.ids == [0, 0]
+            assert unit.data == [cfg.data_mask] * 2
 
 
 class TestIssueTiming:
@@ -230,9 +229,38 @@ class TestHazardDetector:
         cfg = make_config(capacity=4)
         q = SystolicQueue(cfg, 2, 2)
         q._writes = {}
-        q._record_write(0, 0)
-        with pytest.raises(SimulationHazard):
-            q._record_write(0, 0)
+        q._record_writes(0, {0})
+        with pytest.raises(SimulationHazard,
+                           match="double write to unit 0 slot 0"):
+            q._record_writes(0, {1, 0})
+
+    def test_op_fed_to_busy_unit_raises(self):
+        cfg = make_config(capacity=4)
+        q = SystolicQueue(cfg, 2, 2)
+        assert q.issue(push_op(1, 10))
+        q.step()                        # unit 0 searched, now in shift-set
+        q.issue_gate = 0                # force a second accept too early
+        assert q.issue(push_op(2, 20))
+        with pytest.raises(SimulationHazard,
+                           match="op fed to unit 0 while it is in shift_set"):
+            q.step()
+
+    def test_register_overwritten_in_finish_raises(self):
+        cfg = make_config(capacity=4)
+        q = SystolicQueue(cfg, 2, 2)
+        assert q.issue(push_op(1, 10))
+        q.step()
+        q.step()                        # unit 0 now due to finish
+        q.registers[0] = (Dequeue(),)   # a stale latch nobody consumed
+        with pytest.raises(SimulationHazard, match="register 0 overwritten"):
+            q._do_finish(0)
+
+    def test_scattered_occupants_raise(self):
+        cfg = make_config(capacity=4)
+        unit = SystolicQueue(cfg, 1, 4).units[0]
+        unit.ids[2], unit.data[2], unit.count = 5, 10, 1   # two head holes
+        with pytest.raises(SimulationHazard, match="not contiguous"):
+            unit.occupants()
 
 
 def run_drained_comparison(seed, n_units, m_blocks, data_width, n_ops=80):
@@ -274,7 +302,7 @@ def run_drained_comparison(seed, n_units, m_blocks, data_width, n_ops=80):
 def test_drained_equivalence_random(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     n_units = data.draw(st.sampled_from([2, 3, 4]))
-    m_blocks = data.draw(st.sampled_from([2, 3, 4]))
+    m_blocks = data.draw(st.sampled_from([2, 3, 4, 16]))
     width = data.draw(st.sampled_from([6, 9]))
     run_drained_comparison(seed, n_units, m_blocks, width)
 
