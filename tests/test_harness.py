@@ -1,7 +1,9 @@
 """Trace handling, parameter files, and the driving engine, including
 cross-backend agreement on a miniature run."""
 
+import hashlib
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -292,3 +294,52 @@ class TestBackendAgreement:
         narrow = self._mini_run("behavioral", data_width=10)
         wide = self._mini_run("behavioral", data_width=12)
         assert narrow == wide
+
+
+def _digest(rows) -> str:
+    text = "\n".join(",".join(map(str, row)) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+UNIV_STATS = (
+    "packets=119870\npushes=119870\ninserts=73014\nupdates=46856\n"
+    "pops=73014\nmax_occupancy=256\nfinal_occupancy=0\ncycles=579286\n"
+    "ticks=96547\nops_accepted=192884\nidle_cycles=636\n"
+    "duration_ns=1158572.000000\nmodeled_mpps=166.484258\n")
+UNIV_LOG_SHA = "fcdc836c322c6b7716b4044b2ff1c47cf80f951283a3d9e84c9dcf0e5581ef2d"
+UNIV_SERIES_SHA = (
+    "ec4225166c2bae798164e0f224c5b0f61a052750bbd091b615997f7d90799966")
+UNIV_PUSH_SHA = (
+    "67a18569b18f92c1577c0029687d2b48965fd15369e373193e61f147de9d8756")
+
+
+@pytest.mark.parametrize("backend", ["behavioral", "wide"])
+def test_univ_scale_reference_pinned(backend):
+    """The bundled univ_scale run on the reference backends, pinned:
+    stats, dequeue log, occupancy series and, on behavioral, the
+    insertion layouts and every push's (was_update, position)."""
+    params, extra = load_params(bundled_params())
+    params = replace(params, backend=backend)
+    packets = gen_trace(extra["flows"], extra["packets"], extra["seed"],
+                        extra["duration_ns"])
+    adapter = make_adapter(params)
+    reports = []
+    if backend == "behavioral":
+        push = adapter.queue.push
+
+        def recording_push(ident, data):
+            report = push(ident, data)
+            reports.append((int(report.was_update), report.position))
+            return report
+
+        adapter.queue.push = recording_push
+    log, series = [], []
+    stats = drive(packets, adapter, params, dequeue_log=log,
+                  occupancy_series=series, sample_ticks=16)
+    assert stats.to_text() == UNIV_STATS
+    assert (len(log), _digest(log)) == (73014, UNIV_LOG_SHA)
+    assert (len(series), _digest(series)) == (6034, UNIV_SERIES_SHA)
+    if backend == "behavioral":
+        assert adapter.queue.insert_case_counts == {
+            (0, 0): 55484, (0, 1): 5716, (1, 0): 5449, (1, 1): 53220}
+        assert (len(reports), _digest(reports)) == (119870, UNIV_PUSH_SHA)
