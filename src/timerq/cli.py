@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import harness, oracle
 from .core import QueueConfig
-from .systolic import CYCLES_PER_OP, SystolicQueue, check_geometry, push_op
+from .systolic import CYCLES_PER_OP, SystolicQueue, push_op
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,45 +44,43 @@ def _queue_args(sub, defaults=True):
     sub.add_argument("--blocks", type=int, default=0,
                      help="blocks per unit (see --units)")
     sub.add_argument("--cycle-ns", type=float, default=2.0)
-    sub.add_argument("--backend", choices=("behavioral", "systolic", "wide"),
+    sub.add_argument("--backend", choices=harness.BACKENDS,
                      help="default: the params file's, else behavioral")
+
+
+def _error(fault, code: int = EXIT_USAGE) -> int:
+    print(f"error: {fault}", file=sys.stderr)
+    return code
 
 
 def _params_from(args) -> harness.SimParams:
     return harness.SimParams(
-        timeout=args.to, precision=args.precision, data_width=args.wr,
-        timeout_width=args.wo, id_width=args.wid, capacity=args.capacity,
-        cycle_time_ns=args.cycle_ns, backend=args.backend or "behavioral",
-        n_units=args.units, m_blocks=args.blocks)
-
-
-def _bad_geometry(params: harness.SimParams) -> bool:
-    """Report an array geometry that does not fit the queue capacity.
-    A geometry given only in part is derived from the capacity, as
-    `SimParams.geometry` does, so only a full one is checked."""
-    if not (params.n_units and params.m_blocks):
-        return False
-    try:
-        check_geometry(params.n_units, params.m_blocks, params.capacity)
-    except ValueError as exc:
-        print(f"error: --units/--blocks: {exc}", file=sys.stderr)
-        return True
-    return False
+        timeout=127 if args.to is None else args.to, precision=args.precision,
+        data_width=args.wr, timeout_width=args.wo, id_width=args.wid,
+        capacity=args.capacity, cycle_time_ns=args.cycle_ns,
+        backend=args.backend or "behavioral", n_units=args.units,
+        m_blocks=args.blocks)
 
 
 def _cmd_gen_trace(args) -> int:
-    packets = harness.gen_trace(args.flows, args.packets, args.seed,
-                                args.duration_ns)
+    try:
+        packets = harness.gen_trace(args.flows, args.packets, args.seed,
+                                    args.duration_ns)
+    except ValueError as exc:
+        return _error(exc)
     harness.write_trace(args.out, packets)
     print(f"wrote {len(packets)} packets to {args.out}")
     return EXIT_OK
 
 
 def _cmd_gen_script(args) -> int:
-    script = oracle.make_script(
-        args.seed, args.ops, data_width=args.wr, timeout_width=args.wo,
-        id_width=args.wid, capacity=args.capacity, pool=args.pool,
-        remove_rate=args.remove_rate, timeout=args.timeout)
+    try:
+        script = oracle.make_script(
+            args.seed, args.ops, data_width=args.wr, timeout_width=args.wo,
+            id_width=args.wid, capacity=args.capacity, pool=args.pool,
+            remove_rate=args.remove_rate, timeout=args.timeout)
+    except ValueError as exc:
+        return _error(exc)
     script.save(args.out)
     print(f"wrote {len(script.ops)} ops to {args.out}")
     return EXIT_OK
@@ -99,26 +97,23 @@ def _cmd_run(args) -> int:
                      (("backend", args.backend), ("timeout", args.to))
                      if value is not None}
         try:
-            params, extra = harness.load_params(path, **overrides)
+            params, extra = harness.load_params(path, check=True,
+                                                **overrides)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BADFILE
-        params = replace(params, n_units=args.units or params.n_units,
-                         m_blocks=args.blocks or params.m_blocks)
+            return _error(exc, EXIT_BADFILE)
     else:
-        params = _params_from(args)
-        if params.timeout is None:
-            params = replace(params, timeout=127)
-        extra = {}
-    if _bad_geometry(params):
-        return EXIT_USAGE
+        params, extra = _params_from(args), {}
+    try:
+        params = replace(params, n_units=args.units or params.n_units,
+                         m_blocks=args.blocks or params.m_blocks).check()
+    except ValueError as exc:
+        return _error(exc)
 
     if args.trace:
         try:
             packets, skipped = harness.load_trace(args.trace)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BADFILE
+            return _error(exc, EXIT_BADFILE)
         if skipped:
             print(f"warning: skipped {skipped} malformed lines",
                   file=sys.stderr)
@@ -133,7 +128,10 @@ def _cmd_run(args) -> int:
             print(f"error: no trace and no generator values for "
                   f"{', '.join(missing)}", file=sys.stderr)
             return EXIT_BADFILE
-        packets = harness.gen_trace(**gen)
+        try:
+            packets = harness.gen_trace(**gen)
+        except ValueError as exc:
+            return _error(exc)
 
     dequeue_log = [] if args.dequeue_log else None
     try:
@@ -159,11 +157,12 @@ def _cmd_check(args) -> int:
     try:
         script = oracle.OpScript.load(args.script)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADFILE
-    if _bad_geometry(replace(script.params, n_units=args.units,
-                             m_blocks=args.blocks)):
-        return EXIT_USAGE
+        return _error(exc, EXIT_BADFILE)
+    try:
+        replace(script.params, n_units=args.units,
+                m_blocks=args.blocks).check()
+    except ValueError as exc:
+        return _error(exc)
 
     def factory_for(name):
         def make(params):
@@ -254,10 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = subs.add_parser("check", help="diff two backends on one script")
     g.add_argument("--script", required=True)
-    g.add_argument("--left", default="behavioral",
-                   choices=("behavioral", "systolic", "wide"))
-    g.add_argument("--right", default="wide",
-                   choices=("behavioral", "systolic", "wide"))
+    g.add_argument("--left", default="behavioral", choices=harness.BACKENDS)
+    g.add_argument("--right", default="wide", choices=harness.BACKENDS)
     g.add_argument("--units", type=int, default=0)
     g.add_argument("--blocks", type=int, default=0)
     g.set_defaults(func=_cmd_check)

@@ -14,7 +14,8 @@ This module is the semantic ground truth the cycle-accurate model in
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class CapacityError(Exception):
@@ -115,15 +116,15 @@ class QueueConfig:
         if self.cycle_time_ns <= 0:
             raise ValueError("cycle_time_ns must be positive")
 
-    @property
+    @cached_property
     def data_mask(self) -> int:
         return (1 << self.data_width) - 1
 
-    @property
+    @cached_property
     def max_timeout(self) -> int:
         return (1 << self.timeout_width) - 1
 
-    @property
+    @cached_property
     def max_ident(self) -> int:
         return (1 << self.id_width) - 1
 
@@ -131,55 +132,74 @@ class QueueConfig:
 class BehavioralQueue:
     """Sorted-list model with unified push/update and group ordering.
 
-    Invariant: sort_key(items[i].data, head_msb) is non-decreasing in i,
-    where head_msb is re-evaluated from the current head.  Pushing an id
-    already in the queue removes the old entry first, so ids are unique.
+    Under head MSB h, `sort_key` order is the elements of MSB h, then
+    the rest, each raw-ascending.  The queue keeps those two segments in
+    int lists `ids` and `data`, the first `head_len` entries the head
+    group, and bisects raw values inside one segment.  When a delete
+    empties the head group, the rest becomes it.  Pushing an id already
+    in the queue removes the old entry first, so ids are unique.
     """
 
     def __init__(self, config: QueueConfig):
         self.config = config
-        self.items: list[Element] = []
+        self.ids: list[int] = []
+        self.data: list[int] = []
+        self.head_len = 0
         self._data_by_id: dict[int, int] = {}
+        self._shift = config.data_width - 1     # data >> _shift is the MSB
         # (head_msb, incoming_msb) -> count; tracks which of the four
         # insertion layouts a workload actually exercised
         self.insert_case_counts: dict[tuple[int, int], int] = {
             (h, e): 0 for h in (0, 1) for e in (0, 1)}
 
     def __len__(self):
-        return len(self.items)
+        return len(self.ids)
+
+    @property
+    def items(self) -> list[Element]:
+        return [Element(i, d) for i, d in zip(self.ids, self.data)]
+
+    @items.setter
+    def items(self, elements: list[Element]):
+        self.ids = [el.ident for el in elements]
+        self.data = [el.data for el in elements]
+        self._data_by_id = dict(zip(self.ids, self.data))
+        hm = self.head_msb
+        self.head_len = next((i for i, d in enumerate(self.data)
+                              if d >> self._shift != hm), len(self.data))
 
     @property
     def head_msb(self) -> int:
-        if not self.items:
-            return 0
-        return msb(self.items[0].data, self.config.data_width)
+        return self.data[0] >> self._shift if self.data else 0
 
     def peek(self) -> Element | None:
-        return self.items[0] if self.items else None
+        return Element(self.ids[0], self.data[0]) if self.ids else None
 
-    def _key(self, data: int, head_msb: int) -> int:
-        return sort_key(data, head_msb, self.config.data_width)
+    def _segment(self, data: int) -> tuple[int, int]:
+        """Index bounds of the segment a value belongs to."""
+        if data >> self._shift == self.head_msb:
+            return 0, self.head_len
+        return self.head_len, len(self.data)
 
     def insert_position(self, data: int) -> int:
         """Smallest index whose key strictly exceeds the incoming key.
 
         Strict comparison keeps arrival order among equal timestamps.
         """
-        hm = self.head_msb
-        target = self._key(data, hm)
-        return bisect.bisect_right(
-            self.items, target, key=lambda el: self._key(el.data, hm))
+        return bisect.bisect_right(self.data, data, *self._segment(data))
 
     def _index_of(self, ident: int) -> int:
-        # items are key-sorted, so locate by the stored data first and
-        # scan only the run of equal keys
-        hm = self.head_msb
-        target = self._key(self._data_by_id[ident], hm)
-        i = bisect.bisect_left(
-            self.items, target, key=lambda el: self._key(el.data, hm))
-        while self.items[i].ident != ident:
-            i += 1
-        return i
+        # bisect to the run of equal values, then scan it for the id
+        data = self._data_by_id[ident]
+        return self.ids.index(
+            ident, bisect.bisect_left(self.data, data, *self._segment(data)))
+
+    def _delete(self, i: int):
+        del self._data_by_id[self.ids.pop(i)]
+        del self.data[i]
+        if i < self.head_len:
+            # an emptied head group hands the whole rest the head role
+            self.head_len = self.head_len - 1 or len(self.data)
 
     def push(self, ident: int, data: int) -> PushReport:
         cfg = self.config
@@ -188,23 +208,27 @@ class BehavioralQueue:
         if not 0 <= data <= cfg.data_mask:
             raise ValueError(f"data {data} outside [0, {cfg.data_mask}]")
         was_update = ident in self._data_by_id
-        if not was_update and len(self.items) >= cfg.capacity:
-            raise CapacityError(f"queue full ({cfg.capacity})")
         if was_update:
-            del self.items[self._index_of(ident)]
-        if self.items:
-            case = (self.head_msb, msb(data, cfg.data_width))
+            self._delete(self._index_of(ident))
+        elif len(self.ids) >= cfg.capacity:
+            raise CapacityError(f"queue full ({cfg.capacity})")
+        if self.data:
+            case = (self.head_msb, data >> self._shift)
             self.insert_case_counts[case] += 1
-        pos = self.insert_position(data)
-        self.items.insert(pos, Element(ident, data))
+        lo, hi = self._segment(data)
+        pos = bisect.bisect_right(self.data, data, lo, hi)
+        self.ids.insert(pos, ident)
+        self.data.insert(pos, data)
+        if not lo:
+            self.head_len += 1
         self._data_by_id[ident] = data
         return PushReport(was_update, pos)
 
     def pop(self) -> Element:
-        if not self.items:
+        if not self.ids:
             raise IndexError("pop from an empty queue")
-        el = self.items.pop(0)
-        del self._data_by_id[el.ident]
+        el = Element(self.ids[0], self.data[0])
+        self._delete(0)
         return el
 
     def remove(self, ident: int) -> Element | None:
@@ -212,13 +236,14 @@ class BehavioralQueue:
 
         Absence is a normal outcome, not an error.
         """
-        if ident not in self._data_by_id:
+        data = self._data_by_id.get(ident)
+        if data is None:
             return None
-        el = self.items.pop(self._index_of(ident))
-        del self._data_by_id[el.ident]
-        return el
+        self._delete(self._index_of(ident))
+        return Element(ident, data)
 
     def is_sorted(self) -> bool:
-        hm = self.head_msb
-        keys = [self._key(el.data, hm) for el in self.items]
-        return all(a <= b for a, b in zip(keys, keys[1:]))
+        hm, w = self.head_msb, self.config.data_width
+        keys = [sort_key(d, hm, w) for d in self.data]
+        return (self.head_len == sum(d >> self._shift == hm for d in self.data)
+                and all(a <= b for a, b in zip(keys, keys[1:])))

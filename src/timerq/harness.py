@@ -29,6 +29,7 @@ from .systolic import (CYCLES_PER_OP, SystolicQueue, check_geometry, pop_op,
 log = logging.getLogger(__name__)
 
 TRACE_HEADER = ("arrival_ns", "src", "dst", "sport", "dport", "proto")
+BACKENDS = ("behavioral", "systolic", "wide")
 
 
 class CapacityAbort(RuntimeError):
@@ -137,9 +138,22 @@ class SimParams:
     id_width: int = 13
     capacity: int = 4096
     cycle_time_ns: float = 2.0
-    backend: str = "behavioral"  # behavioral | systolic | wide
+    backend: str = "behavioral"  # one of BACKENDS
     n_units: int = 0             # systolic geometry; unless both are set,
     m_blocks: int = 0            # geometry() picks a square-ish one
+
+    def check(self) -> "SimParams":
+        """Return self, or raise ValueError if the run could not start.
+        Each message opens with the field it blames.  A geometry given
+        only in part is derived, so only a full one is checked."""
+        limit = self.queue_config().max_timeout
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend {self.backend!r} not in {BACKENDS}")
+        if not 0 < self.timeout <= limit:
+            raise ValueError(f"timeout {self.timeout} outside (0, {limit}]")
+        if self.n_units and self.m_blocks:
+            check_geometry(self.n_units, self.m_blocks, self.capacity)
+        return self
 
     def queue_config(self) -> QueueConfig:
         return QueueConfig(
@@ -162,16 +176,18 @@ class SimParams:
         return self.capacity // m, m
 
 
-_PARAM_FIELDS = {f.name: f.type for f in SimParams.__dataclass_fields__.values()}
+_PARAM_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
+                for f in SimParams.__dataclass_fields__.values()}
 
 
-def load_params(path, **overrides) -> tuple[SimParams, dict]:
+def load_params(path, *, check=False, **overrides) -> tuple[SimParams, dict]:
     """Read a `key = value` params file.  Keys that match SimParams
     fields configure the run; the rest (trace generator knobs like
-    flows/packets/seed/duration_ns) are returned as a dict.
+    flows/packets/seed/duration_ns) are returned as a dict.  A fault
+    raises a one-line ValueError naming the file and, when the file
+    set the field at fault, its line; `check` adds `SimParams.check`.
     """
-    sim_kwargs = {}
-    extra = {}
+    sim_kwargs, extra, lines = {}, {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -179,16 +195,14 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in _PARAM_FIELDS:
-                if key == "backend":
-                    sim_kwargs[key] = value
-                elif key == "cycle_time_ns":
-                    sim_kwargs[key] = float(value)
-                else:
-                    sim_kwargs[key] = int(value)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in _PARAM_TYPES:
+                lines[key] = lineno
+                try:
+                    sim_kwargs[key] = _PARAM_TYPES[key](value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} = {value!r} is "
+                                     "not a number") from None
             else:
                 try:
                     extra[key] = int(value)
@@ -200,12 +214,15 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     sim_kwargs.update(overrides)
     if "timeout" not in sim_kwargs:
         raise ValueError(f"{path}: no timeout given")
-    params = SimParams(**sim_kwargs)
-    if params.n_units and params.m_blocks:
-        try:
-            check_geometry(params.n_units, params.m_blocks, params.capacity)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    try:
+        params = SimParams(**sim_kwargs)
+        if check:
+            params.check()
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        lineno = None if field in overrides else lines.get(field)
+        where = f"{path}:{lineno}" if lineno else path
+        raise ValueError(f"{where}: {exc}") from None
     return params, extra
 
 
@@ -255,11 +272,17 @@ class FlowTable:
 class Adapter:
     """Defaults shared by the backend adapters behind the engine's op
     interface.  `queue` holds the backend; the base suits a backend that
-    needs no clock, stores modular expirations and peeks an `Element`."""
+    needs no clock (`clocked` False: `step` does nothing, `ready` is
+    always True), stores modular expirations and peeks an `Element`."""
+
+    clocked = False
 
     def __init__(self, config: QueueConfig, queue):
         self.config = config
         self.queue = queue
+        self.data_mask = config.data_mask
+        self.data_width = config.data_width
+        self.timeout_width = config.timeout_width
 
     def ready(self) -> bool:
         return True
@@ -276,18 +299,16 @@ class Adapter:
     def has_expired_head(self, wide_tick: int) -> bool:
         head = self.queue.peek()
         return head is not None and is_expired(
-            head.data, wide_tick & self.config.data_mask,
-            self.config.data_width)
+            head.data, wide_tick & self.data_mask, self.data_width)
 
     def expiration(self, wide_tick: int, timeout: int) -> int:
         """Modular expiration stamp of a push issued at `wide_tick`."""
-        cfg = self.config
-        return make_expiration(wide_tick & cfg.data_mask, timeout,
-                               cfg.data_width, cfg.timeout_width)
+        return make_expiration(wide_tick & self.data_mask, timeout,
+                               self.data_width, self.timeout_width)
 
     def expiry(self, data: int, wide_tick: int) -> int:
         """Unbounded tick at which a head popped at `wide_tick` expired."""
-        return expiry_tick(data, wide_tick, self.config.data_width)
+        return expiry_tick(data, wide_tick, self.data_width)
 
 
 class BehavioralAdapter(Adapter):
@@ -295,6 +316,11 @@ class BehavioralAdapter(Adapter):
 
     def __init__(self, config: QueueConfig):
         super().__init__(config, BehavioralQueue(config))
+
+    def has_expired_head(self, wide_tick: int) -> bool:
+        data = self.queue.data
+        return bool(data) and is_expired(
+            data[0], wide_tick & self.data_mask, self.data_width)
 
     def pop_head(self, wide_tick: int):
         el = self.queue.pop()
@@ -310,6 +336,8 @@ class BehavioralAdapter(Adapter):
 
 class SystolicAdapter(Adapter):
     """Cycle-accurate array behind the engine's op interface."""
+
+    clocked = True
 
     def __init__(self, config: QueueConfig, n_units: int, m_blocks: int,
                  event_sink=None):
@@ -343,17 +371,15 @@ class SystolicAdapter(Adapter):
 
 
 def make_adapter(params: SimParams):
-    config = params.queue_config()
+    config = params.check().queue_config()
     if params.backend == "behavioral":
         return BehavioralAdapter(config)
     if params.backend == "systolic":
         n, m = params.geometry()
         return SystolicAdapter(config, n, m)
-    if params.backend == "wide":
-        from .oracle import WideAdapter
+    from .oracle import WideAdapter      # check() admits only BACKENDS
 
-        return WideAdapter(config)
-    raise ValueError(f"unknown backend {params.backend!r}")
+    return WideAdapter(config)
 
 
 # -- statistics --------------------------------------------------------------
@@ -401,11 +427,14 @@ def arbitrate(source, adapter, precision: int, max_cycles: int):
     op and returns False when back-pressured, leaving it waiting;
     `source.popped(expiry, ident)` records each pop.  Sources change
     state only in free slots, so `source.done()` is asked after those.
+    An adapter with `clocked` False is never stepped, and the arbiter
+    jumps over the gate; one without the attribute steps every cycle.
 
     Returns (cycles, idle_cycles), or None when max_cycles ran out
     first.  Idle cycles are free slots with nothing to issue: the only
     cycles that count against saturation.
     """
+    clocked = getattr(adapter, "clocked", True)
     ready = adapter.ready
     step = adapter.step
     has_expired_head = adapter.has_expired_head
@@ -426,12 +455,15 @@ def arbitrate(source, adapter, precision: int, max_cycles: int):
                     gate = CYCLES_PER_OP
             else:
                 idle += 1
-        step()
+        if clocked:
+            step()
         cycle += 1
         if gate:
             gate -= 1
         if free and source.done():
             return cycle, idle
+        if not clocked:
+            cycle, gate = cycle + gate, 0
         if cycle >= max_cycles:
             return None
 
@@ -465,7 +497,8 @@ class _TraceSource:
             self.next_sample += self.sample_every
 
     def due(self, cycle: int) -> bool:
-        self.sample(cycle)
+        if self.next_sample <= cycle:
+            self.sample(cycle)
         return (self.next < self.total and
                 self.packets[self.next].arrival_ns <= cycle * self.cycle_ns)
 

@@ -143,9 +143,10 @@ class OpScript:
                     key, _, value = item.partition("=")
                     if key not in cls._PARAM_KEYS:
                         raise ValueError(f"line {lineno}: unknown param {key}")
-                    kwargs[key] = int(value)
-                params = SimParams(timeout=1, **kwargs)
+                    kwargs[key] = value
                 try:
+                    params = SimParams(timeout=1, **{
+                        k: int(v) for k, v in kwargs.items()})
                     config = params.queue_config()
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
@@ -421,9 +422,3 @@ def check_equivalence(script: OpScript, factory_left, factory_right,
     best.prefix_len = hi
     return best
 
-
-def aggregate_coverage(scripts, adapter_factory=None) -> Coverage:
-    total = Coverage()
-    for script in scripts:
-        total.merge(replay(script, adapter_factory).coverage)
-    return total

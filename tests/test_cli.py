@@ -275,6 +275,12 @@ class TestBadInput:
         rc = main(["check", "--script", str(script)])
         self._one_line_error(rc, capsys, "line 1: data_width 7")
 
+    def test_script_params_not_integer(self, tmp_path, capsys):
+        script = tmp_path / "params.script"
+        script.write_text("params data_width=x\n0 push 3 20\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 1: invalid literal")
+
     def test_check_geometry_mismatch(self, capsys):
         rc = main(["check", "--script", str(CORPORA / "short_to.script"),
                    "--right", "systolic", "--units", "3", "--blocks", "5"])
@@ -299,6 +305,43 @@ class TestBadInput:
         params.write_text("precision = 1\nflows = 8\npackets = 40\n")
         rc = main(["run", "--params", str(params)])
         self._one_line_error(rc, capsys, str(params))
+
+    @pytest.mark.parametrize("body,needle", [
+        ("backend = bogus\n", ":2: backend 'bogus' not in"),
+        ("capacity = 1\n", ":2: capacity must be at least 2"),
+        ("timeout = 600\n", ":1: timeout 600 outside (0, 511]"),
+    ], ids=["backend", "capacity", "timeout_range"])
+    def test_params_file_rejected_with_line(self, tmp_path, capsys, body,
+                                            needle):
+        params = tmp_path / "bad.params"
+        params.write_text(("" if body.startswith("timeout") else
+                           "timeout = 25\n") + body + "flows = 8\n"
+                          "packets = 40\nseed = 5\nduration_ns = 1500\n")
+        rc = main(["run", "--params", str(params)])
+        self._one_line_error(rc, capsys, str(params) + needle)
+
+    def test_params_non_numeric_value(self, tmp_path, capsys):
+        params = tmp_path / "abc.params"
+        params.write_text("precision = 1\ntimeout = abc\n")
+        rc = main(["run", "--params", str(params)])
+        self._one_line_error(rc, capsys,
+                             f"{params}:2: timeout = 'abc' is not a number")
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--to", "0"], "timeout 0 outside (0, 127]"),
+        (["--to", "600", "--wo", "9", "--wr", "12"],
+         "timeout 600 outside (0, 511]"),
+        (["--precision", "0"], "precision must be a positive cycle count"),
+    ], ids=["to_zero", "to_above_wo", "precision_zero"])
+    def test_run_bad_flag(self, capsys, flags, needle):
+        rc = main(["run", *RUN_FLAGS, *flags])
+        self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
+
+    def test_gen_trace_zero_flows(self, tmp_path, capsys):
+        rc = main(["gen-trace", "--flows", "0", "--packets", "10",
+                   "--duration-ns", "100", "--out", str(tmp_path / "t.csv")])
+        self._one_line_error(rc, capsys, "at least one packet per flow",
+                             code=EXIT_USAGE)
 
 
 class TestBench:

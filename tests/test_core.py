@@ -1,12 +1,15 @@
 """Reference model unit tests: modular timing and grouped ordering."""
 
+import bisect
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from timerq.core import (
     BehavioralQueue,
     CapacityError,
     Element,
+    PushReport,
     QueueConfig,
     expiry_tick,
     is_expired,
@@ -286,3 +289,65 @@ def test_uniform_timeout_pop_order_tracks_true_expiry(seed):
         q.push(ident, make_expiration(now, timeout, 9, 7))
         live[ident] = wide + timeout
     assert popped == sorted(popped)
+
+
+
+class KeyBisectQueue:
+    """The reference queue before the segment layout, as a naive model:
+    one `Element` list kept in `sort_key` order under the head's MSB and
+    searched with a keyed bisect."""
+
+    def __init__(self, width):
+        self.width = width
+        self.items = []
+
+    def _key(self, data):
+        hm = msb(self.items[0].data, self.width) if self.items else 0
+        return sort_key(data, hm, self.width)
+
+    def remove(self, ident):
+        for i, el in enumerate(self.items):
+            if el.ident == ident:
+                return self.items.pop(i)
+        return None
+
+    def push(self, ident, data):
+        was_update = self.remove(ident) is not None
+        pos = bisect.bisect_right(self.items, self._key(data),
+                                  key=lambda el: self._key(el.data))
+        self.items.insert(pos, Element(ident, data))
+        return PushReport(was_update, pos)
+
+    def pop(self):
+        return self.items.pop(0)
+
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(1, 6), st.integers(0, 15)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("remove"), st.integers(1, 6))), max_size=40)
+
+
+@given(OPS)
+@example([("push", 1, 12), ("push", 2, 14), ("push", 3, 2), ("push", 4, 1),
+          ("pop",), ("remove", 2), ("push", 5, 9), ("push", 3, 13),
+          ("pop",), ("pop",)])
+@settings(max_examples=400, deadline=None)
+def test_segments_match_key_bisect_model(ops):
+    """Push, update, pop and remove agree with the keyed-bisect model
+    after every op.  The explicit example empties the MSB-1 head group
+    ahead of the wrapped 2 and 1, by a pop and then a remove, so the
+    head MSB flips; two pops later it flips back."""
+    cfg = make_config(data_width=4, capacity=8, id_width=4)
+    q, model = BehavioralQueue(cfg), KeyBisectQueue(cfg.data_width)
+    for op in ops:
+        if op[0] == "push":
+            assert q.push(*op[1:]) == model.push(*op[1:])
+        elif op[0] == "pop":
+            if model.items:
+                assert q.pop() == model.pop()
+        else:
+            assert q.remove(op[1]) == model.remove(op[1])
+        assert q.items == model.items
+        assert q.peek() == (model.items[0] if model.items else None)
+        assert q.is_sorted()

@@ -23,6 +23,7 @@ from timerq.harness import (
     write_trace,
 )
 from timerq.oracle import OpScript, ScriptOp, replay
+from conftest import CORPORA
 
 
 def mini_params(**kw):
@@ -343,3 +344,47 @@ def test_univ_scale_reference_pinned(backend):
         assert adapter.queue.insert_case_counts == {
             (0, 0): 55484, (0, 1): 5716, (1, 0): 5449, (1, 1): 53220}
         assert (len(reports), _digest(reports)) == (119870, UNIV_PUSH_SHA)
+
+
+class CountingAdapter(BehavioralAdapter):
+    """The reference adapter, counting its `step` calls."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+
+
+class ClockedAdapter(CountingAdapter):
+    clocked = True
+
+
+def test_gate_skip_matches_clocked_stepping():
+    """A clockless adapter is never stepped and jumps over the issue
+    gate; the same queue stepped every cycle gives the same stats,
+    dequeue log, occupancy series and script pops."""
+    params = mini_params(timeout=60, precision=2)
+    pkts = gen_trace(20, 120, seed=5, duration_ns=3000)
+    runs = []
+    for cls in (CountingAdapter, ClockedAdapter):
+        adapter = cls(params.queue_config())
+        log, series = [], []
+        stats = drive(pkts, adapter, params, dequeue_log=log,
+                      occupancy_series=series, sample_ticks=4)
+        runs.append((stats, log, series))
+        assert adapter.steps == (stats.cycles if cls.clocked else 0)
+    assert runs[0] == runs[1]
+    assert runs[0][1] and runs[0][2]
+
+    for name in ("short_to.script", "mid_to.script", "long_to.script"):
+        script = OpScript.load(CORPORA / name)
+        results = []
+        for cls in (CountingAdapter, ClockedAdapter):
+            adapter = cls(script.params.queue_config())
+            results.append(replay(script, lambda p: adapter))
+            assert adapter.steps == (results[-1].cycles if cls.clocked
+                                     else 0)
+        assert results[0] == results[1]
+        assert results[0].aborted is None and results[0].pops

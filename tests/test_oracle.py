@@ -13,7 +13,6 @@ from timerq.oracle import (
     OpScript,
     ScriptOp,
     WideOracleQueue,
-    aggregate_coverage,
     check_equivalence,
     make_script,
     replay,
@@ -159,7 +158,9 @@ class TestCorpusRegression:
         assert result.pops == load_golden()[name]
 
     def test_corpus_covers_every_op_class(self):
-        cov = aggregate_coverage(load_corpus().values(), behavioral)
+        cov = Coverage()
+        for script in load_corpus().values():
+            cov.merge(replay(script, behavioral).coverage)
         assert cov.all_classes_hit()
         assert (cov.inserts, cov.updates) == (259, 516)
         assert (cov.removes_found, cov.removes_missing) == (80, 45)
