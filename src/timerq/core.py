@@ -5,7 +5,8 @@ keeps dequeue order correct across wraps by splitting the timestamp
 space into two groups on the most significant bit and letting the head
 element's group decide which group drains first: entries whose
 timestamps wrapped past the counter limit sort behind the pre-wrap
-entries instead of jumping the queue.
+entries instead of jumping the queue.  `BehavioralQueue` stores that
+order as two raw-ascending segments, the head's group first.
 
 This module is the semantic ground truth the cycle-accurate model in
 `systolic` is checked against.
