@@ -29,9 +29,8 @@ EXIT_DIVERGED = 4
 EXIT_BADFILE = 5
 
 
-def _queue_args(sub, defaults=True):
-    sub.add_argument("--to", type=int, default=127 if defaults else None,
-                     help="idle timeout in timer ticks")
+def _queue_args(sub):
+    sub.add_argument("--to", type=int, help="idle timeout in timer ticks")
     sub.add_argument("--precision", type=int, default=6,
                      help="cycles per timer tick")
     sub.add_argument("--wr", type=int, default=12, help="timestamp width, bits")
@@ -97,10 +96,11 @@ def _cmd_run(args) -> int:
                      (("backend", args.backend), ("timeout", args.to))
                      if value is not None}
         try:
-            params, extra = harness.load_params(path, check=True,
-                                                **overrides)
-        except (OSError, ValueError) as exc:
+            params, extra = harness.load_params(path, **overrides)
+        except (OSError, UnicodeError, harness.ParamsFileError) as exc:
             return _error(exc, EXIT_BADFILE)
+        except ValueError as exc:       # a flag the file's widths reject
+            return _error(exc)
     else:
         params, extra = _params_from(args), {}
     try:
@@ -118,16 +118,13 @@ def _cmd_run(args) -> int:
             print(f"warning: skipped {skipped} malformed lines",
                   file=sys.stderr)
     else:
-        gen = {"flows": args.flows, "packets": args.packets,
-               "seed": args.seed, "duration_ns": args.duration_ns}
-        for key in gen:
-            if gen[key] is None:
-                gen[key] = extra.get(key)
+        gen = {key: extra.get(key) if getattr(args, key) is None
+               else getattr(args, key)
+               for key in ("flows", "packets", "seed", "duration_ns")}
         missing = [k for k, v in gen.items() if v is None]
         if missing:
-            print(f"error: no trace and no generator values for "
-                  f"{', '.join(missing)}", file=sys.stderr)
-            return EXIT_BADFILE
+            return _error("no trace and no generator values for "
+                          + ", ".join(missing), EXIT_BADFILE)
         try:
             packets = harness.gen_trace(**gen)
         except ValueError as exc:
@@ -189,9 +186,7 @@ def _cmd_bench(args) -> int:
         id_width=args.wid, data_width=args.wr, timeout_width=args.wo,
         capacity=args.units * args.blocks, cycle_time_ns=args.cycle_ns)
     queue = SystolicQueue(config, args.units, args.blocks)
-    accepted = 0
-    ident = 0
-    cycles = 0
+    accepted = ident = cycles = 0
     while accepted < args.count:
         # cycle a small id pool so every push past the first few is an
         # in-place update and the array never fills
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--duration-ns", type=int)
     g.add_argument("--out", help="also write stats to this file")
     g.add_argument("--dequeue-log", help="write the dequeue stream CSV here")
-    _queue_args(g, defaults=False)
+    _queue_args(g)
     g.set_defaults(func=_cmd_run)
 
     g = subs.add_parser("check", help="diff two backends on one script")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class CapacityError(Exception):
@@ -117,15 +116,15 @@ class QueueConfig:
         if self.cycle_time_ns <= 0:
             raise ValueError("cycle_time_ns must be positive")
 
-    @cached_property
+    @property
     def data_mask(self) -> int:
         return (1 << self.data_width) - 1
 
-    @cached_property
+    @property
     def max_timeout(self) -> int:
         return (1 << self.timeout_width) - 1
 
-    @cached_property
+    @property
     def max_ident(self) -> int:
         return (1 << self.id_width) - 1
 

@@ -36,6 +36,10 @@ class CapacityAbort(RuntimeError):
     """The flow table outgrew the queue; the run cannot continue."""
 
 
+class ParamsFileError(ValueError):
+    """A params file that does not describe a run; names the file."""
+
+
 @dataclass(frozen=True)
 class Packet:
     arrival_ns: int
@@ -180,13 +184,13 @@ _PARAM_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
                 for f in SimParams.__dataclass_fields__.values()}
 
 
-def load_params(path, *, check=False, **overrides) -> tuple[SimParams, dict]:
+def load_params(path, **overrides) -> tuple[SimParams, dict]:
     """Read a `key = value` params file.  Keys that match SimParams
-    fields configure the run; the rest (trace generator knobs like
-    flows/packets/seed/duration_ns) are returned as a dict.  A fault
-    raises a one-line ValueError naming the file and, when the file
-    set the field at fault, its line; `check` adds `SimParams.check`.
-    """
+    fields configure the run, checked by `SimParams.check`; the rest
+    (generator knobs like flows/packets/seed/duration_ns) are returned
+    as a dict.  A fault of the file raises a one-line ParamsFileError
+    naming the file and, if the file set the field, its line; a fault
+    of an override raises as is."""
     sim_kwargs, extra, lines = {}, {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -194,35 +198,33 @@ def load_params(path, *, check=False, **overrides) -> tuple[SimParams, dict]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
+                raise ParamsFileError(f"{path}:{lineno}: expected key = value")
             key, _, value = (part.strip() for part in line.partition("="))
             if key in _PARAM_TYPES:
                 lines[key] = lineno
                 try:
                     sim_kwargs[key] = _PARAM_TYPES[key](value)
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: {key} = {value!r} is "
-                                     "not a number") from None
+                    raise ParamsFileError(f"{path}:{lineno}: {key} = "
+                                          f"{value!r} is not a number") from None
             else:
-                try:
-                    extra[key] = int(value)
-                except ValueError:
+                for kind in (int, float, str):
                     try:
-                        extra[key] = float(value)
+                        extra[key] = kind(value)
+                        break
                     except ValueError:
-                        extra[key] = value
+                        pass
     sim_kwargs.update(overrides)
     if "timeout" not in sim_kwargs:
-        raise ValueError(f"{path}: no timeout given")
+        raise ParamsFileError(f"{path}: no timeout given")
     try:
-        params = SimParams(**sim_kwargs)
-        if check:
-            params.check()
+        params = SimParams(**sim_kwargs).check()
     except ValueError as exc:
         field = str(exc).split()[0]
-        lineno = None if field in overrides else lines.get(field)
-        where = f"{path}:{lineno}" if lineno else path
-        raise ValueError(f"{where}: {exc}") from None
+        if field in overrides:
+            raise
+        where = f"{path}:{lines[field]}" if field in lines else path
+        raise ParamsFileError(f"{where}: {exc}") from None
     return params, extra
 
 
@@ -402,14 +404,9 @@ class SimStats:
     modeled_mpps: float
 
     def to_text(self) -> str:
-        lines = []
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, float):
-                lines.append(f"{name}={value:.6f}")
-            else:
-                lines.append(f"{name}={value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name}={value:.6f}\n" if isinstance(value, float)
+                       else f"{name}={value}\n"
+                       for name, value in vars(self).items())
 
 
 # -- engine ------------------------------------------------------------------
@@ -566,20 +563,11 @@ def drive(packets: list[Packet], adapter, params: SimParams, *,
     duration_ns = cycles * params.cycle_time_ns
     mpps = ops / (duration_ns * 1e-3) if duration_ns else 0.0
     return SimStats(
-        packets=src.total,
-        pushes=src.pushes,
-        inserts=src.inserts,
-        updates=src.updates,
-        pops=src.pops,
-        max_occupancy=src.max_occ,
-        final_occupancy=len(src.table),
-        cycles=cycles,
-        ticks=cycles // params.precision,
-        ops_accepted=ops,
-        idle_cycles=idle_cycles,
-        duration_ns=duration_ns,
-        modeled_mpps=mpps,
-    )
+        packets=src.total, pushes=src.pushes, inserts=src.inserts,
+        updates=src.updates, pops=src.pops, max_occupancy=src.max_occ,
+        final_occupancy=len(src.table), cycles=cycles,
+        ticks=cycles // params.precision, ops_accepted=ops,
+        idle_cycles=idle_cycles, duration_ns=duration_ns, modeled_mpps=mpps)
 
 
 def run(params: SimParams, packets: list[Packet], **kwargs) -> SimStats:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 from .core import QueueConfig
 from .harness import Adapter, SimParams, arbitrate, make_adapter
@@ -223,11 +224,9 @@ def make_script(seed: int, n_ops: int = 400, *, data_width: int = 9,
     params = SimParams(
         timeout=1, data_width=data_width, timeout_width=timeout_width,
         id_width=id_width, capacity=capacity, precision=precision)
-    max_to = (1 << timeout_width) - 1
-    if not timeout:
-        timeout = rng.randint(max(1, max_to // 4), max_to)
-    if not 0 < timeout <= max_to:
-        raise ValueError(f"timeout {timeout} outside (0, {max_to}]")
+    max_to = params.queue_config().max_timeout     # checks the widths
+    timeout = timeout or rng.randint(max(1, max_to // 4), max_to)
+    replace(params, timeout=timeout).check()
     if not gap_max:
         gap_max = max(2, (1 << data_width) // 64)
     tick = 0
@@ -377,12 +376,10 @@ class Divergence:
 
 
 def _first_diff(a: list, b: list):
-    for i, (x, y) in enumerate(zip(a, b)):
+    # pops are tuples, so the None padding past the shorter one differs
+    for i, (x, y) in enumerate(zip_longest(a, b)):
         if x != y:
             return i, x, y
-    if len(a) != len(b):
-        i = min(len(a), len(b))
-        return (i, a[i] if i < len(a) else None, b[i] if i < len(b) else None)
     return None
 
 

@@ -337,6 +337,14 @@ class TestBadInput:
         rc = main(["run", *RUN_FLAGS, *flags])
         self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
 
+    @pytest.mark.parametrize("to", ["0", "600"])
+    def test_params_file_bad_flag(self, capsys, to):
+        # the file is fine; the flag is at fault, so it is a usage error
+        rc = main(["run", "--params", "univ_scale", "--to", to])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err == f"error: timeout {to} outside (0, 511]\n"
+
     def test_gen_trace_zero_flows(self, tmp_path, capsys):
         rc = main(["gen-trace", "--flows", "0", "--packets", "10",
                    "--duration-ns", "100", "--out", str(tmp_path / "t.csv")])

@@ -11,6 +11,7 @@ from timerq.harness import (
     CapacityAbort,
     FlowTable,
     Packet,
+    ParamsFileError,
     SimParams,
     BehavioralAdapter,
     bundled_params,
@@ -121,6 +122,7 @@ class TestSimParams:
             "timeout = 40\n"
             "precision = 3   # cycles per tick\n"
             "data_width = 10\n"
+            "timeout_width = 8\n"
             "backend = systolic\n"
             "flows = 12\n"
             "label = smoke\n")
@@ -137,6 +139,16 @@ class TestSimParams:
         params, _ = load_params(path, timeout=9, backend="wide")
         assert params.timeout == 9
         assert params.backend == "wide"
+
+    def test_params_fault_blames_file_line_or_override(self, tmp_path):
+        path = tmp_path / "x.params"
+        path.write_text("timeout = 40\ncapacity = 1\n")
+        with pytest.raises(ParamsFileError, match=r"x.params:2: capacity"):
+            load_params(path)
+        path.write_text("timeout = 40\n")
+        with pytest.raises(ValueError, match=r"^timeout 0 outside") as exc:
+            load_params(path, timeout=0)
+        assert not isinstance(exc.value, ParamsFileError)
 
     def test_params_bad_line(self, tmp_path):
         path = tmp_path / "x.params"
