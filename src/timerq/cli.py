@@ -186,7 +186,9 @@ def _cmd_bench(args) -> int:
         id_width=args.wid, data_width=args.wr, timeout_width=args.wo,
         capacity=args.units * args.blocks, cycle_time_ns=args.cycle_ns)
     queue = SystolicQueue(config, args.units, args.blocks)
-    accepted = ident = cycles = 0
+    accepted = 0
+    ident = 0
+    cycles = 0
     while accepted < args.count:
         # cycle a small id pool so every push past the first few is an
         # in-place update and the array never fills

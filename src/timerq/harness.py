@@ -404,9 +404,14 @@ class SimStats:
     modeled_mpps: float
 
     def to_text(self) -> str:
-        return "".join(f"{name}={value:.6f}\n" if isinstance(value, float)
-                       else f"{name}={value}\n"
-                       for name, value in vars(self).items())
+        lines = []
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if isinstance(value, float):
+                lines.append(f"{name}={value:.6f}")
+            else:
+                lines.append(f"{name}={value}")
+        return "\n".join(lines) + "\n"
 
 
 # -- engine ------------------------------------------------------------------
@@ -563,11 +568,20 @@ def drive(packets: list[Packet], adapter, params: SimParams, *,
     duration_ns = cycles * params.cycle_time_ns
     mpps = ops / (duration_ns * 1e-3) if duration_ns else 0.0
     return SimStats(
-        packets=src.total, pushes=src.pushes, inserts=src.inserts,
-        updates=src.updates, pops=src.pops, max_occupancy=src.max_occ,
-        final_occupancy=len(src.table), cycles=cycles,
-        ticks=cycles // params.precision, ops_accepted=ops,
-        idle_cycles=idle_cycles, duration_ns=duration_ns, modeled_mpps=mpps)
+        packets=src.total,
+        pushes=src.pushes,
+        inserts=src.inserts,
+        updates=src.updates,
+        pops=src.pops,
+        max_occupancy=src.max_occ,
+        final_occupancy=len(src.table),
+        cycles=cycles,
+        ticks=cycles // params.precision,
+        ops_accepted=ops,
+        idle_cycles=idle_cycles,
+        duration_ns=duration_ns,
+        modeled_mpps=mpps,
+    )
 
 
 def run(params: SimParams, packets: list[Packet], **kwargs) -> SimStats:

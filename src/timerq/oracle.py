@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
 
 from .core import QueueConfig
 from .harness import Adapter, SimParams, arbitrate, make_adapter
@@ -376,10 +375,12 @@ class Divergence:
 
 
 def _first_diff(a: list, b: list):
-    # pops are tuples, so the None padding past the shorter one differs
-    for i, (x, y) in enumerate(zip_longest(a, b)):
+    for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i, x, y
+    if len(a) != len(b):
+        i = min(len(a), len(b))
+        return (i, a[i] if i < len(a) else None, b[i] if i < len(b) else None)
     return None
 
 
