@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
             params, extra = harness.load_params(path, **overrides)
         except (OSError, UnicodeError, harness.ParamsFileError) as exc:
             return _error(exc, EXIT_BADFILE)
-        except ValueError as exc:       # a flag the file's widths reject
+        except ValueError as exc:       # a flag value the run cannot take
             return _error(exc)
     else:
         params, extra = _params_from(args), {}
