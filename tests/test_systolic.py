@@ -3,12 +3,14 @@ equivalence against the sorted reference model."""
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from timerq.core import BehavioralQueue, Element, QueueConfig, is_expired, make_expiration
-from timerq.harness import SystolicAdapter
+from timerq.harness import (SystolicAdapter, bundled_params, drive,
+                            gen_trace, load_params)
 from timerq.oracle import OpScript, replay
 from timerq.systolic import (
     CYCLES_PER_OP,
@@ -234,6 +236,28 @@ class TestHazardDetector:
                            match="double write to unit 0 slot 0"):
             q._record_writes(0, {1, 0})
 
+    @staticmethod
+    def _two_unit_queue():
+        """Unit 0 full with ids 1, 2; unit 1 holds id 3 in slot 0.  One
+        step of the quiescent array opens a fresh cycle."""
+        q = SystolicQueue(make_config(capacity=4), 2, 2)
+        fill(q, [(1, 10), (2, 20), (3, 30)])
+        q.step()
+        return q
+
+    def test_pull_of_slot_written_same_cycle_raises(self):
+        q = self._two_unit_queue()
+        q._write(1, [4], [25])          # changes unit 1 slot 0
+        with pytest.raises(SimulationHazard,
+                           match="double write to unit 1 slot 0"):
+            q._take_next_first(0)
+
+    def test_pull_of_slot_left_unchanged_same_cycle_passes(self):
+        q = self._two_unit_queue()
+        q._write(1, [3, 5], [30, 40])   # changes unit 1 slot 1 only
+        q._take_next_first(0)
+        assert q.units[1].ids == [0, 5]
+
     def test_op_fed_to_busy_unit_raises(self):
         cfg = make_config(capacity=4)
         q = SystolicQueue(cfg, 2, 2)
@@ -439,3 +463,43 @@ def test_corpus_event_stream_pinned(case):
     assert tuple(counts[(found_id, found_rank)]
                  for found_id in (False, True)
                  for found_rank in (False, True)) == rows
+
+
+# The 20 us prefix of the bundled univ_scale trace (3,330 packets, all
+# four propagation rows hit) on the 64x64 array, pinned: SimStats,
+# row counts (ff, ft, tf, tt), sha256 of the dequeue log as "expiry,id"
+# lines, and the event-stream line count and sha256.
+UNIV_PREFIX_NS = 20_000
+UNIV_PREFIX_STATS = (
+    "packets=3330\npushes=3330\ninserts=2049\nupdates=1281\npops=2049\n"
+    "max_occupancy=256\nfinal_occupancy=0\ncycles=16837\nticks=2806\n"
+    "ops_accepted=5379\nidle_cycles=702\nduration_ns=33674.000000\n"
+    "modeled_mpps=159.737483\n")
+UNIV_PREFIX_ROWS = (5932, 2042, 550, 731)
+UNIV_PREFIX_LOG_SHA = (
+    "cb007957f5c371cf2ab064bc9d553727189d825571704e214b427cc53c77389f")
+UNIV_PREFIX_EVENTS = (
+    48210, "2aca3a2fb6c8fa789521dc8343416f1d32651b06b4e2271eca6ba832bd2e20d3")
+
+
+def test_univ_prefix_stream_pinned():
+    params, extra = load_params(bundled_params())
+    params = replace(params, backend="systolic", n_units=64, m_blocks=64)
+    packets = [p for p in gen_trace(extra["flows"], extra["packets"],
+                                    extra["seed"], extra["duration_ns"])
+               if p.arrival_ns < UNIV_PREFIX_NS]
+    events: list[str] = []
+    adapter = SystolicAdapter(params.queue_config(), 64, 64,
+                              event_sink=events.append)
+    log: list = []
+    stats = drive(packets, adapter, params, dequeue_log=log)
+    assert stats.to_text() == UNIV_PREFIX_STATS
+    counts = adapter.queue.row_counts
+    assert tuple(counts[(found_id, found_rank)]
+                 for found_id in (False, True)
+                 for found_rank in (False, True)) == UNIV_PREFIX_ROWS
+    text = "".join(f"{expiry},{ident}\n" for expiry, ident in log)
+    assert hashlib.sha256(text.encode()).hexdigest() == UNIV_PREFIX_LOG_SHA
+    digest = hashlib.sha256(
+        "".join(line + "\n" for line in events).encode()).hexdigest()
+    assert (len(events), digest) == UNIV_PREFIX_EVENTS
