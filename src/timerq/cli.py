@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
                      if value is not None}
         try:
             params, extra = harness.load_params(path, **overrides)
-        except (OSError, UnicodeError, harness.ParamsFileError) as exc:
+        except (OSError, harness.ParamsFileError) as exc:
             return _error(exc, EXIT_BADFILE)
         except ValueError as exc:       # a flag value the run cannot take
             return _error(exc)
@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         try:
             packets, skipped = harness.load_trace(args.trace)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _error(exc, EXIT_BADFILE)
         if skipped:
             print(f"warning: skipped {skipped} malformed lines",

@@ -16,6 +16,7 @@ modular backends only ever see its low data-width bits.
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import logging
 import random
@@ -49,15 +50,28 @@ class Packet:
 # -- trace files -------------------------------------------------------------
 
 
+def read_text(path, error=ValueError) -> str:
+    """A file's text, decoded as UTF-8: the one rule every reader uses.
+    A byte that does not decode raises `error` naming file:line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8: {exc.reason}") from None
+
+
 def load_trace(path) -> tuple[list[Packet], int]:
     """Read a trace CSV.  Returns (packets sorted by arrival, skipped).
 
     Malformed rows are skipped with a warning rather than aborting the
-    run; trace captures routinely carry a few mangled lines.
+    run; trace captures routinely carry a few mangled lines.  A file
+    that is not UTF-8 raises ValueError.
     """
     packets = []
     skipped = 0
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1 and row and row[0].strip() == TRACE_HEADER[0]:
@@ -192,7 +206,8 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     naming the file and, if the file set the field, its line; a fault
     of an override raises as is."""
     sim_kwargs, extra, lines = {}, {}, {}
-    with open(path) as fh:
+    text = read_text(path, ParamsFileError)
+    with io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -275,7 +290,8 @@ class Adapter:
     """Defaults shared by the backend adapters behind the engine's op
     interface.  `queue` holds the backend; the base suits a backend that
     needs no clock (`clocked` False: `step` does nothing, `ready` is
-    always True), stores modular expirations and peeks an `Element`."""
+    always True) and stores modular expirations.  Each subclass reads
+    its own head in `has_expired_head`."""
 
     clocked = False
 
@@ -297,11 +313,6 @@ class Adapter:
 
     def occupancy(self) -> int:
         return len(self.queue)
-
-    def has_expired_head(self, wide_tick: int) -> bool:
-        head = self.queue.peek()
-        return head is not None and is_expired(
-            head.data, wide_tick & self.data_mask, self.data_width)
 
     def expiration(self, wide_tick: int, timeout: int) -> int:
         """Modular expiration stamp of a push issued at `wide_tick`."""
@@ -352,11 +363,17 @@ class SystolicAdapter(Adapter):
     def step(self):
         self.queue.step()
 
+    def has_expired_head(self, wide_tick: int) -> bool:
+        unit, s_idx = self.queue._head()
+        return unit is not None and is_expired(
+            unit.data[s_idx], wide_tick & self.data_mask, self.data_width)
+
     def pop_head(self, wide_tick: int):
-        head = self.queue.peek()
-        if head is None or not self.queue.issue(pop_op()):
+        unit, s_idx = self.queue._head()
+        head = unit and (unit.ids[s_idx], unit.data[s_idx])
+        if not head or not self.queue.issue(pop_op()):
             raise RuntimeError("pop_head: the array refused the pop")
-        return self.expiry(head.data, wide_tick), head.ident
+        return self.expiry(head[1], wide_tick), head[0]
 
     def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
         return self.queue.issue(

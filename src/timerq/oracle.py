@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .core import QueueConfig
-from .harness import Adapter, SimParams, arbitrate, make_adapter
+from .harness import Adapter, SimParams, arbitrate, make_adapter, read_text
 from .systolic import CYCLES_PER_OP
 
 
@@ -188,8 +188,7 @@ class OpScript:
 
     @classmethod
     def load(cls, path) -> "OpScript":
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path)
         try:
             return cls.from_text(text)
         except ValueError as exc:

@@ -20,12 +20,22 @@ the dequeue that is latched toward it in the same finish.
 Slot layout: each unit stores its M slots as two flat int lists, `ids`
 and `data`, plus a count of occupied slots.  An empty slot is id 0 with
 all-ones data, so slot indices (and the (unit, slot) keys the write
-hazard detector records) address the same storage the hardware has.
+hazard detector checks) address the same storage the hardware has.
 Occupied slots form a prefix of the unit, except for the transient head
-hole described above.  The three phases work on these ints only.
-`Element` objects are built at the API edge alone: `peek`, `snapshot`,
-the pop and the downstream pull (which hand an element out), and the
-pushed-first and deferred elements that travel in interface registers.
+hole described above.
+
+Op record: the op a unit works on, an interface register latches and
+the staged external op are one plain int tuple
+`(enq_id, enq_data, rem_id, deq, pf_id, pf_data)`, 0 meaning absent
+(ids are at least 1, so a present op never has id 0).  The phases work
+on these ints only; deferred and spilled elements travel as ints.  The
+op kind names exist only to spell `propagate`'s rows.  `Element`
+objects are built at the API edge alone, by `peek` and `snapshot`.
+
+Write hazards: the first write to a unit in a cycle is kept as the
+unit's old and new slot lists; the slots it changed are worked out only
+when a second write reaches the same unit in that cycle.  A finish that
+takes nothing into an already compact unit writes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
-from .core import Element, QueueConfig, msb
+from .core import Element, QueueConfig
 
 # One external operation holds a unit for this many cycles; it is also
 # the issue back-pressure interval, so peak acceptance rate is 1/3 per
@@ -51,24 +61,10 @@ class SimulationHazard(RuntimeError):
     """Two writes hit one slot in one cycle; the model state is invalid."""
 
 
-@dataclass(frozen=True)
-class Enqueue:
-    element: Element
-
-
-@dataclass(frozen=True)
-class Remove:
-    ident: int
-
-
-@dataclass(frozen=True)
-class Dequeue:
-    pass
-
-
-@dataclass(frozen=True)
-class PushFirst:
-    element: Element
+# op kinds as `propagate` names them, spelled as in the event text:
+# insert by rank, delete an id where found, pull the downstream head
+# into a vacated tail slot, and an upstream spill that goes ahead of all
+Enqueue, Remove, Dequeue, PushFirst = "enq", "rem", "deq", "pf"
 
 
 _LEGAL_COMBOS = frozenset({
@@ -93,7 +89,7 @@ def propagate(found_id: bool, found_rank: bool, in_kinds) -> frozenset:
     """
     kinds = frozenset(in_kinds)
     if kinds not in _LEGAL_COMBOS:
-        raise ValueError(f"illegal op combination {sorted(k.__name__ for k in kinds)}")
+        raise ValueError(f"illegal op combination {sorted(kinds)}")
     if kinds == frozenset((Enqueue, Remove)):
         if found_id and found_rank:
             return frozenset()
@@ -157,10 +153,14 @@ def unit_compare(unit: "SystolicUnit", push_data: int, highest: int,
     return [int(flag or ident == 0) for ident, flag in zip(unit.ids, flags)]
 
 
-# a combined enqueue+remove pair's propagation row, by (found_id, found_rank)
-_PAIR_TABLE = {(found_id, found_rank): propagate(found_id, found_rank,
-                                                 (Enqueue, Remove))
-               for found_id in (False, True) for found_rank in (False, True)}
+# op kind bits; the bitmask of a combined enqueue+remove pair's
+# propagation row, by (found_id, found_rank)
+_ENQ, _REM, _DEQ, _PF = 1, 2, 4, 8
+_KIND_BITS = {Enqueue: _ENQ, Remove: _REM, Dequeue: _DEQ, PushFirst: _PF}
+_PAIR_TABLE = {
+    (found_id, found_rank): sum(map(_KIND_BITS.get, propagate(
+        found_id, found_rank, (Enqueue, Remove))))
+    for found_id in (False, True) for found_rank in (False, True)}
 
 
 class SystolicUnit:
@@ -169,14 +169,14 @@ class SystolicUnit:
         self.data = [data_mask] * m_blocks
         self.count = 0              # occupied slots
         self.phase = IDLE
-        self.pending: tuple = ()
-        self.ops: tuple = ()        # _ops(pending)
+        self.pending: tuple = ()    # op record
         # search -> shift-set: compare flags over the occupants (1: the
         # incoming element sorts before that occupant), and the occupant
         # index of the removal target, -1 when absent
         self.flags: list | None = None
         self.match = -1
-        # shift-set -> finish: (removed_found, deferred, spill, enq_hosted)
+        # shift-set -> finish: (removed_found, deferred id, deferred data,
+        # spill id, spill data, enq_hosted), ids 0 when absent
         self.work: tuple = ()
 
     def occupants(self) -> tuple[list[int], list[int]]:
@@ -196,20 +196,12 @@ class SystolicUnit:
             f"{k} occupied slots not contiguous in unit ids {ids}")
 
 
-def _ops(pending) -> tuple:
-    """(enqueue, remove, has_dequeue, push_first) of an op tuple."""
-    enq = rem = pf = None
-    has_deq = False
-    for op in pending:
-        if isinstance(op, Enqueue):
-            enq = op
-        elif isinstance(op, Remove):
-            rem = op
-        elif isinstance(op, Dequeue):
-            has_deq = True
-        else:
-            pf = op
-    return enq, rem, has_deq, pf
+def _changed_slots(old_ids, old_data, ids, data) -> set[int]:
+    """Slots whose (id, data) differ between two layouts of a unit."""
+    if ids == old_ids and data == old_data:
+        return set()
+    return set(compress(range(len(ids)), map(
+        ne, zip(old_ids, old_data), zip(ids, data))))
 
 
 def check_geometry(n_units: int, m_blocks: int, capacity: int):
@@ -237,9 +229,10 @@ class SystolicQueue:
         self.m_blocks = m_blocks
         self.units = [SystolicUnit(m_blocks, config.data_mask)
                       for _ in range(n_units)]
-        # registers[i] latches the op tuple for units[i+1]; ops latched at
-        # the last unit fall off the end (callers size the array so that
-        # only a push into a full queue can lose an element this way)
+        # registers[i] latches the op record for units[i+1], () when
+        # empty; ops latched at the last unit fall off the end (callers
+        # size the array so that only a push into a full queue can lose
+        # an element this way)
         self.registers: list[tuple] = [()] * n_units
         self.cycle = 0
         self.issue_gate = 0
@@ -249,8 +242,9 @@ class SystolicQueue:
         self.row_counts: dict[tuple[bool, bool], int] = {
             (a, b): 0 for a in (False, True) for b in (False, True)}
         self.event_sink = event_sink
-        # unit index -> slots written this cycle
-        self._writes: dict[int, set[int]] = {}
+        # unit index -> this cycle's writes: the slots written, or, after
+        # a single `_write`, its (old ids, old data, new ids, new data)
+        self._writes: dict[int, set[int] | tuple] = {}
         self._active: set[int] = set()      # units not idle
         self._latched: list[int] = []       # registers holding ops
         self._slots = range(m_blocks)
@@ -266,24 +260,24 @@ class SystolicQueue:
         if self.issue_gate != 0:
             return False
         cfg = self.config
-        if op.kind == "push":
-            if not 0 < op.ident <= cfg.max_ident:
-                raise ValueError(f"ident {op.ident} outside [1, {cfg.max_ident}]")
-            if not 0 <= op.data <= cfg.data_mask:
-                raise ValueError(f"data {op.data} outside [0, {cfg.data_mask}]")
-            self._staged = (Enqueue(Element(op.ident, op.data)), Remove(op.ident))
-        elif op.kind == "pop":
+        if op.kind == "pop":
             # the head value is combinationally readable at acceptance;
             # the three cycles cover the structural left shift
             unit, s_idx = self._head()
             if unit is None:
                 return False
             self._clear(unit, s_idx)
-            self._staged = (Dequeue(),)
-        elif op.kind == "remove":
-            self._staged = (Remove(op.ident),)
-        else:
+            self._staged = (0, 0, 0, 1, 0, 0)
+        elif op.kind not in ("push", "remove"):
             raise ValueError(f"unknown external op kind {op.kind!r}")
+        elif not 0 < op.ident <= cfg.max_ident:
+            raise ValueError(f"ident {op.ident} outside [1, {cfg.max_ident}]")
+        elif op.kind == "remove":
+            self._staged = (0, 0, op.ident, 0, 0, 0)
+        elif not 0 <= op.data <= cfg.data_mask:
+            raise ValueError(f"data {op.data} outside [0, {cfg.data_mask}]")
+        else:
+            self._staged = (op.ident, op.data, op.ident, 0, 0, 0)
         self.issue_gate = CYCLES_PER_OP
         return True
 
@@ -367,7 +361,6 @@ class SystolicQueue:
                 f"cycle {self.cycle}: op fed to unit {idx} while it is "
                 f"in {unit.phase}")
         unit.pending = ops
-        unit.ops = _ops(ops)
         unit.phase = SEARCH
         self._active.add(idx)
 
@@ -397,7 +390,7 @@ class SystolicQueue:
         unit, s_idx = self._head(exclude_ident)
         if unit is None:
             return 0
-        return msb(unit.data[s_idx], self.config.data_width)
+        return unit.data[s_idx] >> (self.config.data_width - 1) & 1
 
     def _next_first(self, idx: int) -> int:
         """Slot of the downstream neighbour's first element, or -1."""
@@ -408,50 +401,53 @@ class SystolicQueue:
             return -1
         return next(compress(self._slots, unit.ids))
 
-    def _clear(self, unit: SystolicUnit, s_idx: int) -> Element:
-        el = Element(unit.ids[s_idx], unit.data[s_idx])
+    def _clear(self, unit: SystolicUnit, s_idx: int) -> tuple[int, int]:
+        """Empty one slot; returns the (id, data) it held."""
+        held = unit.ids[s_idx], unit.data[s_idx]
         unit.ids[s_idx] = 0
         unit.data[s_idx] = self.config.data_mask
         unit.count -= 1
-        return el
+        return held
 
-    def _take_next_first(self, idx: int) -> Element | None:
-        """Move the downstream head into the caller's hands.  The hole
-        this leaves at the neighbour's head is compacted by the dequeue
-        latched toward it in the same finish."""
+    def _take_next_first(self, idx: int) -> tuple[int, int] | None:
+        """Move the downstream head's (id, data) into the caller's hands.
+        The hole this leaves at the neighbour's head is compacted by the
+        dequeue latched toward it in the same finish."""
         s_idx = self._next_first(idx)
         if s_idx < 0:
             return None
+        # checked before the clear below rewrites the slot in place
         self._record_writes(idx + 1, {s_idx})
         return self._clear(self.units[idx + 1], s_idx)
 
     def _record_writes(self, u_idx: int, slots: set[int]):
         """Add `slots` (a set the caller gives up) to this cycle's
-        writes to unit `u_idx`."""
+        writes to unit `u_idx`, first working out the slots a pending
+        `_write` changed."""
         seen = self._writes.get(u_idx)
         if seen is None:
             self._writes[u_idx] = slots
             return
+        if type(seen) is tuple:
+            seen = _changed_slots(*seen)
         if not seen.isdisjoint(slots):
             raise SimulationHazard(
                 f"cycle {self.cycle}: double write to unit {u_idx} "
                 f"slot {min(seen & slots)}")
-        seen |= slots
+        self._writes[u_idx] = seen | slots
 
     def _write(self, idx: int, ids: list[int], data: list[int]):
-        """Store a unit's occupants head-first, empties behind them,
-        recording every slot whose contents change."""
+        """Store a unit's occupants head-first, empties behind them.  A
+        first write this cycle only keeps the old and new lists."""
         unit = self.units[idx]
         k = len(ids)
         ids += self._empty_ids[k:]
         data += self._empty_data[k:]
-        if ids != unit.ids or data != unit.data:
-            slots = self._slots
-            changed = set(compress(slots, map(ne, ids, unit.ids)))
-            changed.update(compress(slots, map(ne, data, unit.data)))
-            self._record_writes(idx, changed)
-            unit.ids = ids
-            unit.data = data
+        layouts = (unit.ids, unit.data, ids, data)
+        if self._writes.setdefault(idx, layouts) is not layouts:
+            self._record_writes(idx, _changed_slots(*layouts))
+        unit.ids = ids
+        unit.data = data
         unit.count = k
 
     def _emit(self, idx: int, phase: str, ops, prefix: str = ""):
@@ -461,24 +457,24 @@ class SystolicQueue:
 
     @staticmethod
     def _fmt_ops(ops) -> str:
+        """An op record as event text, in the order enq, deq, pf, rem."""
+        enq_id, enq_data, rem_id, deq, pf_id, pf_data = ops
         parts = []
-        for op in ops:
-            if isinstance(op, Enqueue):
-                parts.append(f"enq({op.element.ident},{op.element.data})")
-            elif isinstance(op, Remove):
-                parts.append(f"rem({op.ident})")
-            elif isinstance(op, Dequeue):
-                parts.append("deq")
-            else:
-                parts.append(f"pf({op.element.ident},{op.element.data})")
-        return "+".join(parts) if parts else "-"
+        if enq_id:
+            parts.append(f"enq({enq_id},{enq_data})")
+        if deq:
+            parts.append("deq")
+        if pf_id:
+            parts.append(f"pf({pf_id},{pf_data})")
+        if rem_id:
+            parts.append(f"rem({rem_id})")
+        return "+".join(parts) or "-"
 
     # -- phases --------------------------------------------------------------
 
     def _do_search(self, idx: int):
         unit = self.units[idx]
-        enq, rem, _, _ = unit.ops
-        rid = rem.ident if rem is not None else 0
+        enq_id, enq_data, rid, _, _, _ = unit.pending
         highest = self._highest(rid)
 
         # both signals index the compacted occupant view, so a transient
@@ -486,8 +482,9 @@ class SystolicQueue:
         # positions; the op's own shift closes that hole anyway
         ids, data = unit.occupants()
         unit.match = ids.index(rid) if rid and rid in ids else -1
-        unit.flags = (None if enq is None else _compare_flags(
-            data, enq.element.data, highest, self.config.data_width))
+        unit.flags = (_compare_flags(data, enq_data, highest,
+                                     self.config.data_width)
+                      if enq_id else None)
 
         self._emit(idx, SEARCH, unit.pending)
         unit.phase = SHIFT_SET
@@ -495,105 +492,113 @@ class SystolicQueue:
     def _do_shift_set(self, idx: int):
         unit = self.units[idx]
         m = self.m_blocks
-        enq, rem, has_deq, pf = unit.ops
+        enq_id, enq_data, rem_id, deq, pf_id, pf_data = unit.pending
         ids, data = unit.occupants()
         original_count = len(ids)
 
         removed_found = False
-        if rem is not None and rem.ident in ids:
-            i = ids.index(rem.ident)
+        if rem_id and rem_id in ids:
+            i = ids.index(rem_id)
             del ids[i], data[i]
             removed_found = True
 
-        if pf is not None:
-            ids.insert(0, pf.element.ident)
-            data.insert(0, pf.element.data)
+        if pf_id:
+            ids.insert(0, pf_id)
+            data.insert(0, pf_data)
 
-        deferred = None
+        deferred_id = deferred_data = 0
         enq_hosted = False
-        if enq is not None:
+        if enq_id:
             # insertion index among the post-removal survivors: one past
             # the last zero-flag resident (they sort at or before the
             # incoming element), leaving out the one the remove deleted
             flags = unit.flags[:original_count]
-            if rem is not None and 0 <= unit.match < original_count:
+            if 0 <= unit.match < original_count:
                 del flags[unit.match]
             n = len(flags)
             flags.reverse()
             pos = n - flags.index(False) if False in flags else 0
-            if pf is not None:
+            if pf_id:
                 pos += 1  # the pushed-first element sits ahead of everyone
             # a slot vacated by an upstream pull is a hole, not a true
             # empty: the tail may still continue in the next unit
-            true_empty = original_count < (m - 1 if has_deq else m)
+            true_empty = original_count < (m - 1 if deq else m)
             if pos < len(ids) or true_empty:
                 # a genuinely short unit hosts at its tail: contiguity
                 # says nothing lives downstream, so that position is final
-                ids.insert(pos, enq.element.ident)
-                data.insert(pos, enq.element.data)
+                ids.insert(pos, enq_id)
+                data.insert(pos, enq_data)
                 enq_hosted = True
             else:
-                deferred = enq.element
+                deferred_id, deferred_data = enq_id, enq_data
 
-        spill = None
+        spill_id = spill_data = 0
         if len(ids) > m:
-            spill = Element(ids.pop(), data.pop())
+            spill_id, spill_data = ids.pop(), data.pop()
 
         self._write(idx, ids, data)
-        unit.work = (removed_found, deferred, spill, enq_hosted)
+        unit.work = (removed_found, deferred_id, deferred_data, spill_id,
+                     spill_data, enq_hosted)
         self._emit(idx, SHIFT_SET, unit.pending)
         unit.phase = FINISH
 
     def _do_finish(self, idx: int):
         unit = self.units[idx]
         m = self.m_blocks
-        enq, rem, has_deq, _ = unit.ops
-        removed_found, deferred, spill, enq_hosted = unit.work
-        ids, data = unit.occupants()
-        out = []
+        enq_id, _, rem_id, deq, _, _ = unit.pending
+        (removed_found, deferred_id, deferred_data, spill_id, spill_data,
+         enq_hosted) = unit.work
+        out_id = out_data = out_deq = out_rem = 0
+        kinds = _PF if spill_id else 0
+        # a full unit, or a prefix that takes nothing in, already has the
+        # layout `_write` would store
+        k = unit.count
+        ids = None
+        if k < m and (deferred_id or removed_found or deq
+                      or unit.ids.index(0) != k):
+            ids, data = unit.occupants()
 
-        if deferred is not None:
+        if deferred_id and k == m:
+            out_id, out_data = deferred_id, deferred_data
+            kinds |= _ENQ
+        elif deferred_id:
+            # a removal (or an upstream pull) opened a slot at our tail;
+            # host there if the neighbour's head sorts after the deferred
+            # element
             s_idx = self._next_first(idx)
-            # the neighbour's head sorts after the deferred element
-            after = s_idx >= 0 and _compare_flags(
-                (self.units[idx + 1].data[s_idx],), deferred.data,
-                self._highest(), self.config.data_width)[0]
-            if len(ids) < m:
-                # a removal (or an upstream pull) opened a slot at our tail
-                if s_idx < 0 or after:
-                    ids.append(deferred.ident)
-                    data.append(deferred.data)
-                    enq_hosted = True
-                else:
-                    grabbed = self._take_next_first(idx)
-                    ids.append(grabbed.ident)
-                    data.append(grabbed.data)
-                    out.append(Enqueue(deferred))
-                    out.append(Dequeue())
+            if s_idx < 0 or _compare_flags(
+                    (self.units[idx + 1].data[s_idx],), deferred_data,
+                    self._highest(), self.config.data_width)[0]:
+                ids.append(deferred_id)
+                data.append(deferred_data)
+                enq_hosted = True
             else:
-                out.append(Enqueue(deferred))
-        elif (removed_found or has_deq) and len(ids) < m:
+                grabbed_id, grabbed_data = self._take_next_first(idx)
+                ids.append(grabbed_id)
+                data.append(grabbed_data)
+                out_id, out_data, out_deq = deferred_id, deferred_data, 1
+                kinds |= _ENQ | _DEQ
+        elif (removed_found or deq) and k < m:
             grabbed = self._take_next_first(idx)
             if grabbed is not None:
-                ids.append(grabbed.ident)
-                data.append(grabbed.data)
-                out.append(Dequeue())
+                ids.append(grabbed[0])
+                data.append(grabbed[1])
+                out_deq = 1
+                kinds |= _DEQ
 
-        if spill is not None:
-            out.append(PushFirst(spill))
+        if rem_id and not removed_found and self._next_first(idx) >= 0:
+            out_rem = rem_id
+            kinds |= _REM
 
-        if (rem is not None and not removed_found
-                and self._next_first(idx) >= 0):
-            out.append(Remove(rem.ident))
+        if ids is not None:
+            self._write(idx, ids, data)
+        out = (out_id, out_data, out_rem, out_deq, spill_id, spill_data)
 
-        self._write(idx, ids, data)
-
-        if enq is not None and rem is not None:
+        if enq_id and rem_id:
             self.row_counts[(removed_found, enq_hosted)] += 1
             # the state-aware decision must never propagate more than
             # the pure table allows
-            if not {type(o) for o in out} <= _PAIR_TABLE[(removed_found,
-                                                           enq_hosted)]:
+            if kinds & ~_PAIR_TABLE[(removed_found, enq_hosted)]:
                 raise SimulationHazard(
                     f"cycle {self.cycle}: unit {idx} propagates "
                     f"{self._fmt_ops(out)} beyond the table")
@@ -601,10 +606,10 @@ class SystolicQueue:
         if self.registers[idx]:
             raise SimulationHazard(
                 f"cycle {self.cycle}: register {idx} overwritten")
-        self.registers[idx] = tuple(out)
-        if out:
+        if kinds:
+            self.registers[idx] = out
             self._latched.append(idx)
-        unit.pending = unit.ops = unit.work = ()
+        unit.pending = unit.work = ()
         unit.flags = None
         self._emit(idx, FINISH, out, "out=")
         unit.phase = IDLE

@@ -345,6 +345,26 @@ class TestBadInput:
         assert rc == EXIT_USAGE
         assert err == f"error: timeout {to} outside (0, 511]\n"
 
+    def test_script_not_utf8(self, tmp_path, capsys):
+        script = tmp_path / "binary.script"
+        script.write_bytes(SCRIPT_HEAD.encode() + b"0 push 3 2\xff0\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, f"{script}:2: not UTF-8")
+
+    def test_params_not_utf8(self, tmp_path, capsys):
+        params = tmp_path / "binary.params"
+        params.write_bytes(b"precision = 1\ntimeout = 2\xff5\n")
+        rc = main(["run", "--params", str(params)])
+        self._one_line_error(rc, capsys, f"{params}:2: not UTF-8")
+
+    def test_trace_not_utf8(self, tmp_path, capsys):
+        trace = tmp_path / "binary.csv"
+        trace.write_bytes(b"arrival_ns,src,dst,sport,dport,proto\n"
+                          b"10,10.0.0.1,10.0.0.2,1,2,6\n"
+                          b"20,10.0.0.\xff,10.0.0.2,1,2,6\n")
+        rc = main(["run", "--trace", str(trace), *RUN_FLAGS[8:]])
+        self._one_line_error(rc, capsys, f"{trace}:3: not UTF-8")
+
     def test_gen_trace_zero_flows(self, tmp_path, capsys):
         rc = main(["gen-trace", "--flows", "0", "--packets", "10",
                    "--duration-ns", "100", "--out", str(tmp_path / "t.csv")])

@@ -2,6 +2,7 @@
 equivalence against the sorted reference model."""
 
 import hashlib
+import importlib.util
 import random
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from timerq.systolic import (
     remove_op,
     unit_compare,
 )
-from conftest import CORPORA, make_config
+from conftest import CORPORA, REPO, make_config
 
 
 def fill(queue, pairs):
@@ -84,6 +85,17 @@ class TestIssueTiming:
         assert not q.issue(pop_op())
         # the rejection must not consume the issue slot
         assert q.issue(push_op(1, 10))
+
+    def test_ident_outside_range_rejected(self):
+        cfg = make_config(capacity=4, id_width=4)
+        q = SystolicQueue(cfg, 2, 2)
+        for op in (push_op, remove_op):
+            for ident in (0, cfg.max_ident + 1):
+                args = (ident, 10) if op is push_op else (ident,)
+                with pytest.raises(ValueError,
+                                   match=f"ident {ident} outside"):
+                    q.issue(op(*args))
+        assert q.issue(remove_op(cfg.max_ident))
 
     def test_push_visible_and_quiescent_after_one_op_window(self):
         cfg = make_config(capacity=4)
@@ -184,9 +196,19 @@ class TestInterfaceRegister:
         assert q.issue(op)
         for _ in range(CYCLES_PER_OP):
             q.step()
-        ops = q.registers[0]
+        record = q.registers[0]
         q.drain()
-        return frozenset(type(o) for o in ops), ops
+        return self._kinds(record), record
+
+    @staticmethod
+    def _kinds(record):
+        """Op kinds present in an op record (ids are 0 when absent)."""
+        if not record:
+            return frozenset()
+        enq_id, _, rem_id, deq, pf_id, _ = record
+        return frozenset(kind for kind, present in (
+            (Enqueue, enq_id), (Remove, rem_id), (Dequeue, deq),
+            (PushFirst, pf_id)) if present)
 
     @staticmethod
     def _delta(q, before):
@@ -201,21 +223,21 @@ class TestInterfaceRegister:
 
     def test_update_moving_tailward_hands_enqueue_dequeue(self):
         q, before = self._loaded_queue()
-        kinds, ops = self._issue_and_observe(q, push_op(1, 90))
+        kinds, record = self._issue_and_observe(q, push_op(1, 90))
         assert kinds == frozenset((Enqueue, Dequeue))
         # the handed-on pair is no longer an id search, so only unit 0
         # resolves a table row for this op
         assert self._delta(q, before) == {(True, False): 1}
-        enq = next(o for o in ops if isinstance(o, Enqueue))
-        assert enq.element == Element(1, 90)
+        enq_id, enq_data = record[:2]
+        assert Element(enq_id, enq_data) == Element(1, 90)
 
     def test_hosted_insert_hands_spill_and_search_on(self):
         q, before = self._loaded_queue()
-        kinds, ops = self._issue_and_observe(q, push_op(4, 15))
+        kinds, record = self._issue_and_observe(q, push_op(4, 15))
         assert kinds == frozenset((PushFirst, Remove))
         assert self._delta(q, before) == {(False, True): 1}
-        spilled = next(o for o in ops if isinstance(o, PushFirst))
-        assert spilled.element == Element(2, 20)
+        pf_id, pf_data = record[4:]
+        assert Element(pf_id, pf_data) == Element(2, 20)
 
     def test_miss_hands_both_halves_on(self):
         q, before = self._loaded_queue()
@@ -275,7 +297,8 @@ class TestHazardDetector:
         assert q.issue(push_op(1, 10))
         q.step()
         q.step()                        # unit 0 now due to finish
-        q.registers[0] = (Dequeue(),)   # a stale latch nobody consumed
+        # a stale dequeue latch nobody consumed
+        q.registers[0] = (0, 0, 0, 1, 0, 0)
         with pytest.raises(SimulationHazard, match="register 0 overwritten"):
             q._do_finish(0)
 
@@ -503,3 +526,19 @@ def test_univ_prefix_stream_pinned():
     digest = hashlib.sha256(
         "".join(line + "\n" for line in events).encode()).hexdigest()
     assert (len(events), digest) == UNIV_PREFIX_EVENTS
+
+
+def test_geometry_sweep_smoke(capsys):
+    """scripts/geometry_sweep.py on a 2 us prefix: every 4096-slot
+    geometry matches behavioral, and a 256-slot unit holds the whole
+    prefix, so that array runs one unit for three phases per op."""
+    path = REPO / "scripts" / "geometry_sweep.py"
+    spec = importlib.util.spec_from_file_location("geometry_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--prefix-ns", "2000"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows[2:]] == [
+        "16x256", "64x64", "256x16", "1024x4"]
+    assert all(row[-1] == "ok" for row in rows[2:])
+    assert rows[2][2:4] == ["3.000", "1"]
