@@ -25,11 +25,13 @@ from timerq.harness import (SystolicAdapter, bundled_params, drive,
 GEOMETRIES = "16x256,64x64,256x16,1024x4"
 
 
-def sweep(prefix_ns: int, geometries: list[tuple[int, int]],
-          capacity: int = 4096) -> list[dict]:
+def sweep(prefix_ns: int, geometries: list[tuple[int, int]]) -> list[dict]:
     """One row per geometry: host seconds, unit-phases per op, units
-    touched, and whether stats and dequeue log match behavioral."""
-    params, extra = load_params(bundled_params(), capacity=capacity)
+    touched, and whether stats and dequeue log match behavioral.  The
+    capacity is N*M of the first geometry; any other raises ValueError."""
+    n_units, m_blocks = geometries[0]
+    params, extra = load_params(bundled_params(),
+                                capacity=n_units * m_blocks)
     packets = [p for p in gen_trace(extra["flows"], extra["packets"],
                                     extra["seed"], extra["duration_ns"])
                if p.arrival_ns < prefix_ns]
@@ -81,18 +83,17 @@ def main(argv=None) -> int:
     ap.add_argument("--prefix-ns", type=int, default=6000,
                     help="run the packets that arrive before this time")
     ap.add_argument("--geometries", default=GEOMETRIES,
-                    help="comma-separated NxM list, N*M = capacity")
-    ap.add_argument("--capacity", type=int, default=4096)
+                    help="comma-separated NxM list of one capacity N*M")
     args = ap.parse_args(argv)
     try:
         geometries = parse_geometries(args.geometries)
-        rows = sweep(args.prefix_ns, geometries, args.capacity)
+        rows = sweep(args.prefix_ns, geometries)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     print(f"univ_scale prefix {args.prefix_ns} ns: {rows[0]['packets']} "
-          f"packets, capacity {args.capacity}")
+          f"packets, capacity {geometries[0][0] * geometries[0][1]}")
     print(f"{'geometry':>10} {'host_s':>8} {'phases/op':>10} "
           f"{'units':>6} {'log':>5}")
     for row in rows:

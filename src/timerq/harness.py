@@ -50,16 +50,18 @@ class Packet:
 # -- trace files -------------------------------------------------------------
 
 
-def read_text(path, error=ValueError) -> str:
-    """A file's text, decoded as UTF-8: the one rule every reader uses.
-    A byte that does not decode raises `error` naming file:line."""
+def read_lines(path, error=ValueError):
+    """A file's lines, decoded as UTF-8 one at a time and split as text
+    mode splits them: the one rule every reader uses.  A line that does
+    not decode raises `error` naming file:line."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8: {exc.reason}") from None
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: "
+                            f"{exc.reason}") from None
+            yield from io.StringIO(text, newline="")
 
 
 def load_trace(path) -> tuple[list[Packet], int]:
@@ -71,29 +73,28 @@ def load_trace(path) -> tuple[list[Packet], int]:
     """
     packets = []
     skipped = 0
-    with io.StringIO(read_text(path), newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1 and row and row[0].strip() == TRACE_HEADER[0]:
-                continue
-            if len(row) != 6:
-                log.warning("%s:%d: expected 6 fields, got %d",
-                            path, lineno, len(row))
-                skipped += 1
-                continue
-            try:
-                arrival = int(row[0])
-                sport, dport, proto = int(row[3]), int(row[4]), int(row[5])
-            except ValueError:
-                log.warning("%s:%d: non-numeric field", path, lineno)
-                skipped += 1
-                continue
-            if arrival < 0:
-                log.warning("%s:%d: negative arrival", path, lineno)
-                skipped += 1
-                continue
-            flow = (row[1].strip(), row[2].strip(), sport, dport, proto)
-            packets.append(Packet(arrival, flow))
+    reader = csv.reader(read_lines(path))
+    for lineno, row in enumerate(reader, start=1):
+        if lineno == 1 and row and row[0].strip() == TRACE_HEADER[0]:
+            continue
+        if len(row) != 6:
+            log.warning("%s:%d: expected 6 fields, got %d",
+                        path, lineno, len(row))
+            skipped += 1
+            continue
+        try:
+            arrival = int(row[0])
+            sport, dport, proto = int(row[3]), int(row[4]), int(row[5])
+        except ValueError:
+            log.warning("%s:%d: non-numeric field", path, lineno)
+            skipped += 1
+            continue
+        if arrival < 0:
+            log.warning("%s:%d: negative arrival", path, lineno)
+            skipped += 1
+            continue
+        flow = (row[1].strip(), row[2].strip(), sport, dport, proto)
+        packets.append(Packet(arrival, flow))
     packets.sort(key=lambda p: p.arrival_ns)
     return packets, skipped
 
@@ -206,29 +207,28 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     naming the file and, if the file set the field, its line; a fault
     of an override raises as is."""
     sim_kwargs, extra, lines = {}, {}, {}
-    text = read_text(path, ParamsFileError)
-    with io.StringIO(text, newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParamsFileError(f"{path}:{lineno}: expected key = value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in _PARAM_TYPES:
-                lines[key] = lineno
+    for lineno, raw in enumerate(read_lines(path, ParamsFileError),
+                                 start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParamsFileError(f"{path}:{lineno}: expected key = value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in _PARAM_TYPES:
+            lines[key] = lineno
+            try:
+                sim_kwargs[key] = _PARAM_TYPES[key](value)
+            except ValueError:
+                raise ParamsFileError(f"{path}:{lineno}: {key} = "
+                                      f"{value!r} is not a number") from None
+        else:
+            for kind in (int, float, str):
                 try:
-                    sim_kwargs[key] = _PARAM_TYPES[key](value)
+                    extra[key] = kind(value)
+                    break
                 except ValueError:
-                    raise ParamsFileError(f"{path}:{lineno}: {key} = "
-                                          f"{value!r} is not a number") from None
-            else:
-                for kind in (int, float, str):
-                    try:
-                        extra[key] = kind(value)
-                        break
-                    except ValueError:
-                        pass
+                    pass
     sim_kwargs.update(overrides)
     if "timeout" not in sim_kwargs:
         raise ParamsFileError(f"{path}: no timeout given")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .core import QueueConfig
-from .harness import Adapter, SimParams, arbitrate, make_adapter, read_text
+from .harness import Adapter, SimParams, arbitrate, make_adapter, read_lines
 from .systolic import CYCLES_PER_OP
 
 
@@ -188,7 +188,7 @@ class OpScript:
 
     @classmethod
     def load(cls, path) -> "OpScript":
-        text = read_text(path)
+        text = "".join(read_lines(path))
         try:
             return cls.from_text(text)
         except ValueError as exc:

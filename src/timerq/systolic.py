@@ -34,8 +34,7 @@ objects are built at the API edge alone, by `peek` and `snapshot`.
 
 Write hazards: the first write to a unit in a cycle is kept as the
 unit's old and new slot lists; the slots it changed are worked out only
-when a second write reaches the same unit in that cycle.  A finish that
-takes nothing into an already compact unit writes nothing.
+when a second write reaches the same unit in that cycle.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
-from .core import Element, QueueConfig
+from .core import Element, QueueConfig, msb
 
 # One external operation holds a unit for this many cycles; it is also
 # the issue back-pressure interval, so peak acceptance rate is 1/3 per
@@ -390,7 +389,7 @@ class SystolicQueue:
         unit, s_idx = self._head(exclude_ident)
         if unit is None:
             return 0
-        return unit.data[s_idx] >> (self.config.data_width - 1) & 1
+        return msb(unit.data[s_idx], self.config.data_width)
 
     def _next_first(self, idx: int) -> int:
         """Slot of the downstream neighbour's first element, or -1."""
@@ -548,37 +547,32 @@ class SystolicQueue:
         enq_id, _, rem_id, deq, _, _ = unit.pending
         (removed_found, deferred_id, deferred_data, spill_id, spill_data,
          enq_hosted) = unit.work
+        ids, data = unit.occupants()
         out_id = out_data = out_deq = out_rem = 0
         kinds = _PF if spill_id else 0
-        # a full unit, or a prefix that takes nothing in, already has the
-        # layout `_write` would store
-        k = unit.count
-        ids = None
-        if k < m and (deferred_id or removed_found or deq
-                      or unit.ids.index(0) != k):
-            ids, data = unit.occupants()
 
-        if deferred_id and k == m:
-            out_id, out_data = deferred_id, deferred_data
-            kinds |= _ENQ
-        elif deferred_id:
-            # a removal (or an upstream pull) opened a slot at our tail;
-            # host there if the neighbour's head sorts after the deferred
-            # element
+        if deferred_id:
             s_idx = self._next_first(idx)
-            if s_idx < 0 or _compare_flags(
-                    (self.units[idx + 1].data[s_idx],), deferred_data,
-                    self._highest(), self.config.data_width)[0]:
-                ids.append(deferred_id)
-                data.append(deferred_data)
-                enq_hosted = True
+            # the neighbour's head sorts after the deferred element
+            after = s_idx >= 0 and _compare_flags(
+                (self.units[idx + 1].data[s_idx],), deferred_data,
+                self._highest(), self.config.data_width)[0]
+            if len(ids) < m:
+                # a removal (or an upstream pull) opened a slot at our tail
+                if s_idx < 0 or after:
+                    ids.append(deferred_id)
+                    data.append(deferred_data)
+                    enq_hosted = True
+                else:
+                    grabbed_id, grabbed_data = self._take_next_first(idx)
+                    ids.append(grabbed_id)
+                    data.append(grabbed_data)
+                    out_id, out_data, out_deq = deferred_id, deferred_data, 1
+                    kinds |= _ENQ | _DEQ
             else:
-                grabbed_id, grabbed_data = self._take_next_first(idx)
-                ids.append(grabbed_id)
-                data.append(grabbed_data)
-                out_id, out_data, out_deq = deferred_id, deferred_data, 1
-                kinds |= _ENQ | _DEQ
-        elif (removed_found or deq) and k < m:
+                out_id, out_data = deferred_id, deferred_data
+                kinds |= _ENQ
+        elif (removed_found or deq) and len(ids) < m:
             grabbed = self._take_next_first(idx)
             if grabbed is not None:
                 ids.append(grabbed[0])
@@ -590,8 +584,7 @@ class SystolicQueue:
             out_rem = rem_id
             kinds |= _REM
 
-        if ids is not None:
-            self._write(idx, ids, data)
+        self._write(idx, ids, data)
         out = (out_id, out_data, out_rem, out_deq, spill_id, spill_data)
 
         if enq_id and rem_id:
