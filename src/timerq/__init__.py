@@ -23,10 +23,8 @@ from .systolic import (
     SimulationHazard,
     SystolicQueue,
     pop_op,
-    propagate,
     push_op,
     remove_op,
-    unit_compare,
 )
 
 __all__ = [
@@ -43,11 +41,9 @@ __all__ = [
     "make_expiration",
     "msb",
     "pop_op",
-    "propagate",
     "push_op",
     "remove_op",
     "sort_key",
-    "unit_compare",
 ]
 
 __version__ = "0.1.0"

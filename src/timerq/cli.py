@@ -184,7 +184,7 @@ def _cmd_check(args) -> int:
 def _cmd_bench(args) -> int:
     config = QueueConfig(
         id_width=args.wid, data_width=args.wr, timeout_width=args.wo,
-        capacity=args.units * args.blocks, cycle_time_ns=args.cycle_ns)
+        capacity=args.units * args.blocks)
     queue = SystolicQueue(config, args.units, args.blocks)
     accepted = 0
     ident = 0

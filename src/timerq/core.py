@@ -97,8 +97,6 @@ class QueueConfig:
     data_width: int
     timeout_width: int
     capacity: int
-    precision: int = 1          # clock cycles per timer tick
-    cycle_time_ns: float = 2.0
 
     def __post_init__(self):
         if self.data_width <= self.timeout_width + 1:
@@ -111,10 +109,6 @@ class QueueConfig:
             raise ValueError(
                 f"id_width {self.id_width} cannot address {self.capacity} "
                 "concurrent elements (id 0 is reserved for empty slots)")
-        if self.precision < 1:
-            raise ValueError("precision must be a positive cycle count")
-        if self.cycle_time_ns <= 0:
-            raise ValueError("cycle_time_ns must be positive")
 
     @property
     def data_mask(self) -> int:

@@ -1,8 +1,9 @@
 """Flow-timeout simulation harness.
 
 `arbitrate` is the one engine loop.  It models the array's
-one-op-per-three-cycles interface: each free issue slot goes to an op
-source's next op or to an expired head, alternating when both wait.
+one-op-per-three-cycles interface: it steps every backend from issue
+slot to issue slot, and each slot goes to an op source's next op or to
+an expired head, alternating when both wait.
 `drive` is the trace source (each packet pushes or refreshes its flow's
 expiration entry); `oracle.replay` is the script source.  Backends sit
 behind `Adapter` subclasses, so all of them run the same loop and
@@ -19,6 +20,7 @@ import csv
 import io
 import ipaddress
 import logging
+import math
 import random
 from dataclasses import dataclass
 
@@ -52,12 +54,13 @@ class Packet:
 
 def read_lines(path, error=ValueError):
     """A file's lines, decoded as UTF-8 one at a time and split as text
-    mode splits them: the one rule every reader uses.  A line that does
-    not decode raises `error` naming file:line."""
+    mode splits them: the one rule every reader uses.  A byte-order mark
+    opening the file is dropped.  A line that does not decode raises
+    `error` naming file:line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                text = raw.decode()
+                text = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise error(f"{path}:{lineno}: not UTF-8: "
                             f"{exc.reason}") from None
@@ -166,6 +169,11 @@ class SimParams:
         Each message opens with the field it blames.  A geometry given
         only in part is derived, so only a full one is checked."""
         limit = self.queue_config().max_timeout
+        if self.precision < 1:
+            raise ValueError("precision must be a positive cycle count")
+        if not 0 < self.cycle_time_ns < math.inf:
+            raise ValueError(f"cycle_time_ns {self.cycle_time_ns} is not "
+                             "a finite positive number")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend {self.backend!r} not in {BACKENDS}")
         if not 0 < self.timeout <= limit:
@@ -180,8 +188,6 @@ class SimParams:
             data_width=self.data_width,
             timeout_width=self.timeout_width,
             capacity=self.capacity,
-            precision=self.precision,
-            cycle_time_ns=self.cycle_time_ns,
         )
 
     def geometry(self) -> tuple[int, int]:
@@ -289,11 +295,9 @@ class FlowTable:
 class Adapter:
     """Defaults shared by the backend adapters behind the engine's op
     interface.  `queue` holds the backend; the base suits a backend that
-    needs no clock (`clocked` False: `step` does nothing, `ready` is
-    always True) and stores modular expirations.  Each subclass reads
-    its own head in `has_expired_head`."""
-
-    clocked = False
+    needs no clock (`step` does nothing, `ready` is always True) and
+    stores modular expirations.  Each subclass reads its own head in
+    `has_expired_head`."""
 
     def __init__(self, config: QueueConfig, queue):
         self.config = config
@@ -305,7 +309,7 @@ class Adapter:
     def ready(self) -> bool:
         return True
 
-    def step(self):
+    def step(self, cycles: int):
         pass
 
     def settle(self):
@@ -350,8 +354,6 @@ class BehavioralAdapter(Adapter):
 class SystolicAdapter(Adapter):
     """Cycle-accurate array behind the engine's op interface."""
 
-    clocked = True
-
     def __init__(self, config: QueueConfig, n_units: int, m_blocks: int,
                  event_sink=None):
         super().__init__(config, SystolicQueue(config, n_units, m_blocks,
@@ -360,8 +362,10 @@ class SystolicAdapter(Adapter):
     def ready(self) -> bool:
         return self.queue.issue_gate == 0
 
-    def step(self):
-        self.queue.step()
+    def step(self, cycles: int):
+        step = self.queue.step
+        for _ in range(cycles):
+            step()
 
     def has_expired_head(self, wide_tick: int) -> bool:
         unit, s_idx = self.queue._head()
@@ -439,50 +443,48 @@ def arbitrate(source, adapter, precision: int, max_cycles: int):
 
     At most one op is issued per CYCLES_PER_OP cycles, matching the
     array's acceptance rate, so all backends see identical op streams.
-    In each free issue slot the arbiter asks `source.due(cycle)` whether
-    an op is waiting and the adapter whether its head has expired; when
-    both are, it alternates kinds, the source first, to starve neither
-    side.  `source.issue(adapter, cycle, wide_tick)` issues the waiting
-    op and returns False when back-pressured, leaving it waiting;
-    `source.popped(expiry, ident)` records each pop.  Sources change
-    state only in free slots, so `source.done()` is asked after those.
-    An adapter with `clocked` False is never stepped, and the arbiter
-    jumps over the gate; one without the attribute steps every cycle.
+    The loop visits issue slots: an accepted op holds the interface for
+    CYCLES_PER_OP cycles, anything else for one, and the adapter is
+    stepped by that many cycles in one `step(cycles)` call.  In each
+    slot the adapter is asked whether it is `ready`, and if so the
+    source whether an op is due and the adapter whether its head has
+    expired; when both are, it alternates kinds, the source first, to
+    starve neither side.  `source.issue(adapter, cycle, wide_tick)`
+    issues the waiting op and returns False when back-pressured, leaving
+    it waiting; `source.popped(expiry, ident)` records each pop.
+    Sources change state only in ready slots, so `source.done()` is
+    asked after those; once it holds, the adapter is stepped one cycle
+    and the run ends.
 
     Returns (cycles, idle_cycles), or None when max_cycles ran out
-    first.  Idle cycles are free slots with nothing to issue: the only
+    first.  Idle cycles are ready slots with nothing to issue: the only
     cycles that count against saturation.
     """
-    clocked = getattr(adapter, "clocked", True)
     ready = adapter.ready
     step = adapter.step
     has_expired_head = adapter.has_expired_head
-    cycle = gate = idle = 0
+    cycle = idle = 0
     pop_next = False
     while True:
-        free = gate == 0 and ready()
-        if free:
+        held = 1
+        if ready():
             wide_tick = cycle // precision
             op_due = source.due(cycle)
             if (pop_next or not op_due) and has_expired_head(wide_tick):
                 source.popped(*adapter.pop_head(wide_tick))
                 pop_next = False
-                gate = CYCLES_PER_OP
+                held = CYCLES_PER_OP
             elif op_due:
                 if source.issue(adapter, cycle, wide_tick):
                     pop_next = True
-                    gate = CYCLES_PER_OP
+                    held = CYCLES_PER_OP
             else:
                 idle += 1
-        if clocked:
-            step()
-        cycle += 1
-        if gate:
-            gate -= 1
-        if free and source.done():
-            return cycle, idle
-        if not clocked:
-            cycle, gate = cycle + gate, 0
+            if source.done():
+                step(1)
+                return cycle + 1, idle
+        step(held)
+        cycle += held
         if cycle >= max_cycles:
             return None
 
@@ -565,8 +567,8 @@ def drive(packets: list[Packet], adapter, params: SimParams, *,
     """Run the trace to completion: every flow pushed, refreshed on
     each packet, and popped once expired.  Returns the aggregate stats.
     """
-    src = _TraceSource(packets, params, dequeue_log, occupancy_series,
-                       sample_ticks)
+    src = _TraceSource(packets, params.check(), dequeue_log,
+                       occupancy_series, sample_ticks)
     result = arbitrate(src, adapter, params.precision, max_cycles)
     if result is None:
         raise RuntimeError(f"run did not converge in {max_cycles} cycles")

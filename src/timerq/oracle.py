@@ -146,7 +146,7 @@ class OpScript:
                     kwargs[key] = value
                 try:
                     params = SimParams(timeout=1, **{
-                        k: int(v) for k, v in kwargs.items()})
+                        k: int(v) for k, v in kwargs.items()}).check()
                     config = params.queue_config()
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
@@ -332,7 +332,7 @@ def replay(script: OpScript, adapter_factory=None, *,
     marks the result aborted rather than raising, so a wedged backend
     reads as a divergence.
     """
-    params = script.params
+    params = script.params.check()
     adapter = (adapter_factory or make_adapter)(params)
     if not max_cycles:
         last_tick = script.ops[-1].tick if script.ops else 0

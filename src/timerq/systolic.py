@@ -28,9 +28,10 @@ Op record: the op a unit works on, an interface register latches and
 the staged external op are one plain int tuple
 `(enq_id, enq_data, rem_id, deq, pf_id, pf_data)`, 0 meaning absent
 (ids are at least 1, so a present op never has id 0).  The phases work
-on these ints only; deferred and spilled elements travel as ints.  The
-op kind names exist only to spell `propagate`'s rows.  `Element`
-objects are built at the API edge alone, by `peek` and `snapshot`.
+on these ints only; deferred and spilled elements travel as ints.  Op
+kinds are bits (`ENQ`, `REM`, `DEQ`, `PF`), the same in `propagate`'s
+rows and in the finish check.  `Element` objects are built at the API
+edge alone, by `peek` and `snapshot`.
 
 Write hazards: the first write to a unit in a cycle is kept as the
 unit's old and new slot lists; the slots it changed are worked out only
@@ -60,54 +61,43 @@ class SimulationHazard(RuntimeError):
     """Two writes hit one slot in one cycle; the model state is invalid."""
 
 
-# op kinds as `propagate` names them, spelled as in the event text:
-# insert by rank, delete an id where found, pull the downstream head
-# into a vacated tail slot, and an upstream spill that goes ahead of all
-Enqueue, Remove, Dequeue, PushFirst = "enq", "rem", "deq", "pf"
+# op kind bits, as `propagate` and the finish check spell them: insert
+# by rank, delete an id where found, pull the downstream head into a
+# vacated tail slot, and an upstream spill that goes ahead of all
+ENQ, REM, DEQ, PF = 1, 2, 4, 8
+
+_LEGAL_COMBOS = frozenset({ENQ | REM, ENQ, REM, DEQ, PF, DEQ | ENQ, PF | REM})
 
 
-_LEGAL_COMBOS = frozenset({
-    frozenset((Enqueue, Remove)),
-    frozenset((Enqueue,)),
-    frozenset((Remove,)),
-    frozenset((Dequeue,)),
-    frozenset((PushFirst,)),
-    frozenset((Dequeue, Enqueue)),
-    frozenset((PushFirst, Remove)),
-})
-
-
-def propagate(found_id: bool, found_rank: bool, in_kinds) -> frozenset:
-    """Pure propagation table: which op kinds continue downstream.
+def propagate(found_id: bool, found_rank: bool, kinds: int) -> int:
+    """Pure propagation table: which op kinds continue downstream, as
+    kind bits in and out.
 
     For the combined enqueue+remove pair this is the four-row rule; for
-    single ops the reduced forms.  Context conditions (a PushFirst only
-    materializes on an actual tail spill, a Remove or Dequeue dies when
-    nothing lives downstream) are applied by the unit that owns the
-    state, so callers may prune the returned set but never extend it.
+    single ops the reduced forms.  Context conditions (a PF only
+    materializes on an actual tail spill, a REM or DEQ dies when nothing
+    lives downstream) are applied by the unit that owns the state, so
+    callers may prune the returned bits but never add any.
     """
-    kinds = frozenset(in_kinds)
     if kinds not in _LEGAL_COMBOS:
-        raise ValueError(f"illegal op combination {sorted(kinds)}")
-    if kinds == frozenset((Enqueue, Remove)):
+        raise ValueError(f"illegal op combination {kinds}")
+    if kinds == ENQ | REM:
         if found_id and found_rank:
-            return frozenset()
+            return 0
         if found_id:
-            return frozenset((Enqueue, Dequeue))
+            return ENQ | DEQ
         if found_rank:
-            return frozenset((Remove, PushFirst))
-        return frozenset((Enqueue, Remove))
-    if kinds == frozenset((Dequeue, Enqueue)):
-        return frozenset() if found_rank else frozenset((Dequeue, Enqueue))
-    if kinds == frozenset((PushFirst, Remove)):
-        return frozenset() if found_id else frozenset((PushFirst, Remove))
-    if kinds == frozenset((Enqueue,)):
-        return frozenset((PushFirst,)) if found_rank else frozenset((Enqueue,))
-    if kinds == frozenset((Remove,)):
-        return frozenset((Dequeue,)) if found_id else frozenset((Remove,))
-    if kinds == frozenset((Dequeue,)):
-        return frozenset((Dequeue,))
-    return frozenset((PushFirst,))
+            return REM | PF
+        return ENQ | REM
+    if kinds == DEQ | ENQ:
+        return 0 if found_rank else DEQ | ENQ
+    if kinds == PF | REM:
+        return 0 if found_id else PF | REM
+    if kinds == ENQ:
+        return PF if found_rank else ENQ
+    if kinds == REM:
+        return DEQ if found_id else REM
+    return kinds        # a lone DEQ or PF passes on as it is
 
 
 @dataclass(frozen=True)
@@ -152,13 +142,10 @@ def unit_compare(unit: "SystolicUnit", push_data: int, highest: int,
     return [int(flag or ident == 0) for ident, flag in zip(unit.ids, flags)]
 
 
-# op kind bits; the bitmask of a combined enqueue+remove pair's
-# propagation row, by (found_id, found_rank)
-_ENQ, _REM, _DEQ, _PF = 1, 2, 4, 8
-_KIND_BITS = {Enqueue: _ENQ, Remove: _REM, Dequeue: _DEQ, PushFirst: _PF}
+# the propagation row of a combined enqueue+remove pair, by
+# (found_id, found_rank)
 _PAIR_TABLE = {
-    (found_id, found_rank): sum(map(_KIND_BITS.get, propagate(
-        found_id, found_rank, (Enqueue, Remove))))
+    (found_id, found_rank): propagate(found_id, found_rank, ENQ | REM)
     for found_id in (False, True) for found_rank in (False, True)}
 
 
@@ -549,7 +536,7 @@ class SystolicQueue:
          enq_hosted) = unit.work
         ids, data = unit.occupants()
         out_id = out_data = out_deq = out_rem = 0
-        kinds = _PF if spill_id else 0
+        kinds = PF if spill_id else 0
 
         if deferred_id:
             s_idx = self._next_first(idx)
@@ -568,21 +555,21 @@ class SystolicQueue:
                     ids.append(grabbed_id)
                     data.append(grabbed_data)
                     out_id, out_data, out_deq = deferred_id, deferred_data, 1
-                    kinds |= _ENQ | _DEQ
+                    kinds |= ENQ | DEQ
             else:
                 out_id, out_data = deferred_id, deferred_data
-                kinds |= _ENQ
+                kinds |= ENQ
         elif (removed_found or deq) and len(ids) < m:
             grabbed = self._take_next_first(idx)
             if grabbed is not None:
                 ids.append(grabbed[0])
                 data.append(grabbed[1])
                 out_deq = 1
-                kinds |= _DEQ
+                kinds |= DEQ
 
         if rem_id and not removed_found and self._next_first(idx) >= 0:
             out_rem = rem_id
-            kinds |= _REM
+            kinds |= REM
 
         self._write(idx, ids, data)
         out = (out_id, out_data, out_rem, out_deq, spill_id, spill_data)
@@ -602,8 +589,6 @@ class SystolicQueue:
         if kinds:
             self.registers[idx] = out
             self._latched.append(idx)
-        unit.pending = unit.work = ()
-        unit.flags = None
         self._emit(idx, FINISH, out, "out=")
         unit.phase = IDLE
         self._active.discard(idx)

@@ -310,7 +310,9 @@ class TestBadInput:
         ("backend = bogus\n", ":2: backend 'bogus' not in"),
         ("capacity = 1\n", ":2: capacity must be at least 2"),
         ("timeout = 600\n", ":1: timeout 600 outside (0, 511]"),
-    ], ids=["backend", "capacity", "timeout_range"])
+        ("cycle_time_ns = inf\n",
+         ":2: cycle_time_ns inf is not a finite positive number"),
+    ], ids=["backend", "capacity", "timeout_range", "cycle_time"])
     def test_params_file_rejected_with_line(self, tmp_path, capsys, body,
                                             needle):
         params = tmp_path / "bad.params"
@@ -332,7 +334,9 @@ class TestBadInput:
         (["--to", "600", "--wo", "9", "--wr", "12"],
          "timeout 600 outside (0, 511]"),
         (["--precision", "0"], "precision must be a positive cycle count"),
-    ], ids=["to_zero", "to_above_wo", "precision_zero"])
+        (["--cycle-ns", "nan"],
+         "cycle_time_ns nan is not a finite positive number"),
+    ], ids=["to_zero", "to_above_wo", "precision_zero", "cycle_ns_nan"])
     def test_run_bad_flag(self, capsys, flags, needle):
         rc = main(["run", *RUN_FLAGS, *flags])
         self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)

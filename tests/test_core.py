@@ -104,11 +104,6 @@ class TestQueueConfig:
         with pytest.raises(ValueError):
             QueueConfig(id_width=3, data_width=9, timeout_width=7, capacity=8)
 
-    def test_rejects_zero_precision(self):
-        with pytest.raises(ValueError):
-            QueueConfig(id_width=5, data_width=9, timeout_width=7,
-                        capacity=8, precision=0)
-
     def test_derived_fields(self):
         cfg = QueueConfig(id_width=5, data_width=9, timeout_width=7, capacity=16)
         assert cfg.data_mask == 511

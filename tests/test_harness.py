@@ -3,6 +3,7 @@ cross-backend agreement on a miniature run."""
 
 import hashlib
 import logging
+import math
 from dataclasses import replace
 
 import pytest
@@ -67,6 +68,14 @@ class TestTraceFiles:
         assert len(pkts) == 2
         assert len(caplog.records) == 3
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfarrival_ns,src,dst,sport,dport,proto\n"
+                         b"100,10.0.0.1,10.0.0.2,5,6,6\n")
+        pkts, skipped = load_trace(path)
+        assert skipped == 0
+        assert [p.arrival_ns for p in pkts] == [100]
+
 
 class TestGenTrace:
     def test_deterministic_for_seed(self):
@@ -93,11 +102,18 @@ class TestGenTrace:
 
 class TestSimParams:
     def test_queue_config_mapping(self):
-        p = mini_params(precision=4)
-        cfg = p.queue_config()
+        cfg = mini_params().queue_config()
         assert (cfg.data_width, cfg.timeout_width, cfg.id_width) == (9, 7, 6)
-        assert cfg.precision == 4
         assert cfg.capacity == 32
+
+    def test_rejects_zero_precision(self):
+        with pytest.raises(ValueError, match="^precision "):
+            mini_params(precision=0).check()
+
+    @pytest.mark.parametrize("cycle_ns", [0.0, -2.0, math.nan, math.inf])
+    def test_rejects_bad_cycle_time(self, cycle_ns):
+        with pytest.raises(ValueError, match="^cycle_time_ns "):
+            mini_params(cycle_time_ns=cycle_ns).check()
 
     @pytest.mark.parametrize("capacity,expect", [
         (4096, (64, 64)),
@@ -132,6 +148,13 @@ class TestSimParams:
         assert params.data_width == 10
         assert params.backend == "systolic"
         assert extra == {"flows": 12, "label": "smoke"}
+
+    def test_params_file_byte_order_mark(self, tmp_path):
+        path = tmp_path / "x.params"
+        path.write_bytes(b"\xef\xbb\xbftimeout = 10\nflows = 12\n")
+        params, extra = load_params(path)
+        assert params.timeout == 10
+        assert extra == {"flows": 12}
 
     def test_params_overrides(self, tmp_path):
         path = tmp_path / "x.params"
@@ -359,44 +382,30 @@ def test_univ_scale_reference_pinned(backend):
 
 
 class CountingAdapter(BehavioralAdapter):
-    """The reference adapter, counting its `step` calls."""
+    """The reference adapter, counting the cycles it is stepped."""
 
     def __init__(self, config):
         super().__init__(config)
-        self.steps = 0
+        self.stepped = 0
 
-    def step(self):
-        self.steps += 1
-
-
-class ClockedAdapter(CountingAdapter):
-    clocked = True
+    def step(self, cycles):
+        self.stepped += cycles
 
 
-def test_gate_skip_matches_clocked_stepping():
-    """A clockless adapter is never stepped and jumps over the issue
-    gate; the same queue stepped every cycle gives the same stats,
-    dequeue log, occupancy series and script pops."""
+def test_adapter_stepped_through_every_cycle():
+    """The arbiter steps the adapter once per issue slot, by the slot's
+    length, so a trace or script run steps it through exactly the
+    cycles the run lasts."""
     params = mini_params(timeout=60, precision=2)
     pkts = gen_trace(20, 120, seed=5, duration_ns=3000)
-    runs = []
-    for cls in (CountingAdapter, ClockedAdapter):
-        adapter = cls(params.queue_config())
-        log, series = [], []
-        stats = drive(pkts, adapter, params, dequeue_log=log,
-                      occupancy_series=series, sample_ticks=4)
-        runs.append((stats, log, series))
-        assert adapter.steps == (stats.cycles if cls.clocked else 0)
-    assert runs[0] == runs[1]
-    assert runs[0][1] and runs[0][2]
+    adapter = CountingAdapter(params.queue_config())
+    stats = drive(pkts, adapter, params)
+    assert stats.pops
+    assert adapter.stepped == stats.cycles
 
     for name in ("short_to.script", "mid_to.script", "long_to.script"):
         script = OpScript.load(CORPORA / name)
-        results = []
-        for cls in (CountingAdapter, ClockedAdapter):
-            adapter = cls(script.params.queue_config())
-            results.append(replay(script, lambda p: adapter))
-            assert adapter.steps == (results[-1].cycles if cls.clocked
-                                     else 0)
-        assert results[0] == results[1]
-        assert results[0].aborted is None and results[0].pops
+        adapter = CountingAdapter(script.params.queue_config())
+        result = replay(script, lambda p: adapter)
+        assert result.aborted is None and result.pops
+        assert adapter.stepped == result.cycles

@@ -124,6 +124,12 @@ class TestMakeScript:
         script.save(path)
         assert OpScript.load(path) == script
 
+    def test_load_skips_byte_order_mark(self, tmp_path):
+        script = make_script(14, n_ops=20)
+        path = tmp_path / "s.script"
+        path.write_bytes(b"\xef\xbb\xbf" + script.to_text().encode())
+        assert OpScript.load(path) == script
+
     def test_from_text_rejects_missing_params(self):
         with pytest.raises(ValueError):
             OpScript.from_text("3 push 5 9\n")
@@ -191,7 +197,7 @@ class RawSortAdapter:
     def ready(self):
         return True
 
-    def step(self):
+    def step(self, cycles):
         pass
 
     def has_expired_head(self, wide_tick):

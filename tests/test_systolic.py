@@ -15,10 +15,10 @@ from timerq.harness import (SystolicAdapter, bundled_params, drive,
 from timerq.oracle import OpScript, replay
 from timerq.systolic import (
     CYCLES_PER_OP,
-    Dequeue,
-    Enqueue,
-    PushFirst,
-    Remove,
+    DEQ,
+    ENQ,
+    PF,
+    REM,
     SimulationHazard,
     SystolicQueue,
     pop_op,
@@ -156,31 +156,31 @@ class TestUnitCompare:
 
 class TestPropagate:
     def test_combined_pair_rows(self):
-        pair = (Enqueue, Remove)
-        assert propagate(True, True, pair) == frozenset()
-        assert propagate(True, False, pair) == frozenset((Enqueue, Dequeue))
-        assert propagate(False, True, pair) == frozenset((Remove, PushFirst))
-        assert propagate(False, False, pair) == frozenset((Enqueue, Remove))
+        pair = ENQ | REM
+        assert propagate(True, True, pair) == 0
+        assert propagate(True, False, pair) == ENQ | DEQ
+        assert propagate(False, True, pair) == REM | PF
+        assert propagate(False, False, pair) == ENQ | REM
 
     def test_single_op_reductions(self):
-        assert propagate(False, True, (Enqueue,)) == frozenset((PushFirst,))
-        assert propagate(False, False, (Enqueue,)) == frozenset((Enqueue,))
-        assert propagate(True, False, (Remove,)) == frozenset((Dequeue,))
-        assert propagate(False, False, (Remove,)) == frozenset((Remove,))
-        assert propagate(False, False, (Dequeue,)) == frozenset((Dequeue,))
-        assert propagate(False, False, (PushFirst,)) == frozenset((PushFirst,))
+        assert propagate(False, True, ENQ) == PF
+        assert propagate(False, False, ENQ) == ENQ
+        assert propagate(True, False, REM) == DEQ
+        assert propagate(False, False, REM) == REM
+        assert propagate(False, False, DEQ) == DEQ
+        assert propagate(False, False, PF) == PF
 
     def test_derived_pairs(self):
-        assert propagate(False, True, (Dequeue, Enqueue)) == frozenset()
-        assert propagate(False, False, (Dequeue, Enqueue)) == frozenset((Dequeue, Enqueue))
-        assert propagate(True, False, (PushFirst, Remove)) == frozenset()
-        assert propagate(False, False, (PushFirst, Remove)) == frozenset((PushFirst, Remove))
+        assert propagate(False, True, DEQ | ENQ) == 0
+        assert propagate(False, False, DEQ | ENQ) == DEQ | ENQ
+        assert propagate(True, False, PF | REM) == 0
+        assert propagate(False, False, PF | REM) == PF | REM
 
     def test_illegal_combo_rejected(self):
         with pytest.raises(ValueError):
-            propagate(False, False, (Enqueue, Dequeue, Remove))
+            propagate(False, False, ENQ | DEQ | REM)
         with pytest.raises(ValueError):
-            propagate(False, False, ())
+            propagate(False, False, 0)
 
 
 class TestInterfaceRegister:
@@ -202,13 +202,12 @@ class TestInterfaceRegister:
 
     @staticmethod
     def _kinds(record):
-        """Op kinds present in an op record (ids are 0 when absent)."""
+        """Op kind bits present in an op record (ids are 0 when absent)."""
         if not record:
-            return frozenset()
+            return 0
         enq_id, _, rem_id, deq, pf_id, _ = record
-        return frozenset(kind for kind, present in (
-            (Enqueue, enq_id), (Remove, rem_id), (Dequeue, deq),
-            (PushFirst, pf_id)) if present)
+        return sum(kind for kind, present in (
+            (ENQ, enq_id), (REM, rem_id), (DEQ, deq), (PF, pf_id)) if present)
 
     @staticmethod
     def _delta(q, before):
@@ -218,13 +217,13 @@ class TestInterfaceRegister:
     def test_absorbed_update_hands_nothing_on(self):
         q, before = self._loaded_queue()
         kinds, _ = self._issue_and_observe(q, push_op(1, 15))
-        assert kinds == frozenset()
+        assert kinds == 0
         assert self._delta(q, before) == {(True, True): 1}
 
     def test_update_moving_tailward_hands_enqueue_dequeue(self):
         q, before = self._loaded_queue()
         kinds, record = self._issue_and_observe(q, push_op(1, 90))
-        assert kinds == frozenset((Enqueue, Dequeue))
+        assert kinds == ENQ | DEQ
         # the handed-on pair is no longer an id search, so only unit 0
         # resolves a table row for this op
         assert self._delta(q, before) == {(True, False): 1}
@@ -234,7 +233,7 @@ class TestInterfaceRegister:
     def test_hosted_insert_hands_spill_and_search_on(self):
         q, before = self._loaded_queue()
         kinds, record = self._issue_and_observe(q, push_op(4, 15))
-        assert kinds == frozenset((PushFirst, Remove))
+        assert kinds == PF | REM
         assert self._delta(q, before) == {(False, True): 1}
         pf_id, pf_data = record[4:]
         assert Element(pf_id, pf_data) == Element(2, 20)
@@ -242,7 +241,7 @@ class TestInterfaceRegister:
     def test_miss_hands_both_halves_on(self):
         q, before = self._loaded_queue()
         kinds, _ = self._issue_and_observe(q, push_op(4, 90))
-        assert kinds == frozenset((Enqueue, Remove))
+        assert kinds == ENQ | REM
         # the untouched pair runs the table again at unit 1, where the
         # tail slot hosts it
         assert self._delta(q, before) == {(False, False): 1, (False, True): 1}
