@@ -19,7 +19,6 @@ import sys
 from dataclasses import replace
 
 from . import harness, oracle
-from .core import QueueConfig
 from .systolic import CYCLES_PER_OP, SystolicQueue, push_op
 
 EXIT_OK = 0
@@ -182,9 +181,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = QueueConfig(
-        id_width=args.wid, data_width=args.wr, timeout_width=args.wo,
-        capacity=args.units * args.blocks)
+    try:
+        config = harness.SimParams(
+            timeout=1, data_width=args.wr, timeout_width=args.wo,
+            id_width=args.wid, capacity=args.units * args.blocks,
+            cycle_time_ns=args.cycle_ns, n_units=args.units,
+            m_blocks=args.blocks).check().queue_config()
+    except ValueError as exc:
+        return _error(exc)
+    if args.count < 1:
+        return _error(f"count {args.count} must be at least 1")
+    # a pool larger than the array would drop pushes off its last unit
+    if not 1 <= args.pool <= config.capacity:
+        return _error(f"pool {args.pool} outside [1, {config.capacity}]")
     queue = SystolicQueue(config, args.units, args.blocks)
     accepted = 0
     ident = 0

@@ -294,10 +294,11 @@ class FlowTable:
 
 class Adapter:
     """Defaults shared by the backend adapters behind the engine's op
-    interface.  `queue` holds the backend; the base suits a backend that
-    needs no clock (`step` does nothing, `ready` is always True) and
-    stores modular expirations.  Each subclass reads its own head in
-    `has_expired_head`."""
+    interface (`has_expired_head`, `pop_head`, `push`, `remove`, `step`,
+    `settle`, `occupancy`).  The engine issues at the array's fixed
+    rate, so a refused op is a model fault, not back-pressure.  The base
+    suits a clockless backend with modular expirations.  Nothing here
+    calls `ready`; it stays because perfbench wraps it by name."""
 
     def __init__(self, config: QueueConfig, queue):
         self.config = config
@@ -343,12 +344,11 @@ class BehavioralAdapter(Adapter):
         el = self.queue.pop()
         return self.expiry(el.data, wide_tick), el.ident
 
-    def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
+    def push(self, ident: int, wide_tick: int, timeout: int):
         self.queue.push(ident, self.expiration(wide_tick, timeout))
-        return True
 
-    def remove(self, ident: int) -> bool:
-        return self.queue.remove(ident) is not None
+    def remove(self, ident: int):
+        self.queue.remove(ident)
 
 
 class SystolicAdapter(Adapter):
@@ -358,9 +358,6 @@ class SystolicAdapter(Adapter):
                  event_sink=None):
         super().__init__(config, SystolicQueue(config, n_units, m_blocks,
                                                event_sink=event_sink))
-
-    def ready(self) -> bool:
-        return self.queue.issue_gate == 0
 
     def step(self, cycles: int):
         step = self.queue.step
@@ -372,19 +369,24 @@ class SystolicAdapter(Adapter):
         return unit is not None and is_expired(
             unit.data[s_idx], wide_tick & self.data_mask, self.data_width)
 
+    def _issue(self, op):
+        """Issue at an open gate; the engine's fixed rate guarantees one."""
+        if not self.queue.issue(op):
+            raise RuntimeError(f"the array refused a {op.kind}")
+
     def pop_head(self, wide_tick: int):
         unit, s_idx = self.queue._head()
-        head = unit and (unit.ids[s_idx], unit.data[s_idx])
-        if not head or not self.queue.issue(pop_op()):
-            raise RuntimeError("pop_head: the array refused the pop")
-        return self.expiry(head[1], wide_tick), head[0]
+        if unit is None:
+            raise RuntimeError("pop_head: the array is empty")
+        ident, data = unit.ids[s_idx], unit.data[s_idx]
+        self._issue(pop_op())
+        return self.expiry(data, wide_tick), ident
 
-    def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
-        return self.queue.issue(
-            push_op(ident, self.expiration(wide_tick, timeout)))
+    def push(self, ident: int, wide_tick: int, timeout: int):
+        self._issue(push_op(ident, self.expiration(wide_tick, timeout)))
 
-    def remove(self, ident: int) -> bool:
-        return self.queue.issue(remove_op(ident))
+    def remove(self, ident: int):
+        self._issue(remove_op(ident))
 
     def settle(self):
         self.queue.drain()
@@ -441,48 +443,42 @@ class SimStats:
 def arbitrate(source, adapter, precision: int, max_cycles: int):
     """The one issue arbiter every run goes through.
 
-    At most one op is issued per CYCLES_PER_OP cycles, matching the
-    array's acceptance rate, so all backends see identical op streams.
-    The loop visits issue slots: an accepted op holds the interface for
-    CYCLES_PER_OP cycles, anything else for one, and the adapter is
-    stepped by that many cycles in one `step(cycles)` call.  In each
-    slot the adapter is asked whether it is `ready`, and if so the
-    source whether an op is due and the adapter whether its head has
-    expired; when both are, it alternates kinds, the source first, to
-    starve neither side.  `source.issue(adapter, cycle, wide_tick)`
-    issues the waiting op and returns False when back-pressured, leaving
-    it waiting; `source.popped(expiry, ident)` records each pop.
-    Sources change state only in ready slots, so `source.done()` is
-    asked after those; once it holds, the adapter is stepped one cycle
+    It visits issue slots at the array's fixed rate: an issued op holds
+    the interface for CYCLES_PER_OP cycles, an idle slot for one, and
+    the adapter is stepped that many cycles in one `step(cycles)` call.
+    So the array's issue gate is open at every slot, and all backends
+    see identical op streams.  In each slot the source is asked whether
+    an op is due and the adapter whether its head has expired; when both
+    are, it alternates kinds, the source first, to starve neither side.
+    `source.issue(adapter, cycle, wide_tick)` issues the waiting op;
+    `source.popped(expiry, ident)` records each pop.  Once
+    `source.done()` holds after a slot, the adapter is stepped one cycle
     and the run ends.
 
     Returns (cycles, idle_cycles), or None when max_cycles ran out
-    first.  Idle cycles are ready slots with nothing to issue: the only
+    first.  Idle cycles are slots with nothing to issue: the only
     cycles that count against saturation.
     """
-    ready = adapter.ready
     step = adapter.step
     has_expired_head = adapter.has_expired_head
     cycle = idle = 0
     pop_next = False
     while True:
-        held = 1
-        if ready():
-            wide_tick = cycle // precision
-            op_due = source.due(cycle)
-            if (pop_next or not op_due) and has_expired_head(wide_tick):
-                source.popped(*adapter.pop_head(wide_tick))
-                pop_next = False
-                held = CYCLES_PER_OP
-            elif op_due:
-                if source.issue(adapter, cycle, wide_tick):
-                    pop_next = True
-                    held = CYCLES_PER_OP
-            else:
-                idle += 1
-            if source.done():
-                step(1)
-                return cycle + 1, idle
+        held = CYCLES_PER_OP
+        wide_tick = cycle // precision
+        op_due = source.due(cycle)
+        if (pop_next or not op_due) and has_expired_head(wide_tick):
+            source.popped(*adapter.pop_head(wide_tick))
+            pop_next = False
+        elif op_due:
+            source.issue(adapter, cycle, wide_tick)
+            pop_next = True
+        else:
+            idle += 1
+            held = 1
+        if source.done():
+            step(1)
+            return cycle + 1, idle
         step(held)
         cycle += held
         if cycle >= max_cycles:
@@ -523,23 +519,19 @@ class _TraceSource:
         return (self.next < self.total and
                 self.packets[self.next].arrival_ns <= cycle * self.cycle_ns)
 
-    def issue(self, adapter, cycle: int, wide_tick: int) -> bool:
+    def issue(self, adapter, cycle: int, wide_tick: int):
         table = self.table
         flow = self.packets[self.next].flow
         ident = table.lookup(flow)
         fresh = ident is None
         if fresh:
+            # QueueConfig keeps max_ident >= capacity: an id is free
             capacity = self.params.capacity
             if len(table) >= capacity:
                 raise CapacityAbort(f"{len(table)} live flows at capacity "
                                     f"{capacity} (cycle {cycle})")
             ident = table.allocate(flow)
-            if ident is None:
-                raise CapacityAbort("id space exhausted")
-        if not adapter.push(ident, wide_tick, self.params.timeout):
-            if fresh:
-                table.release(ident)
-            return False
+        adapter.push(ident, wide_tick, self.params.timeout)
         self.next += 1
         self.pushes += 1
         if fresh:
@@ -547,7 +539,6 @@ class _TraceSource:
             self.max_occ = max(self.max_occ, len(table))
         else:
             self.updates += 1
-        return True
 
     def popped(self, expiry: int, ident: int):
         self.table.release(ident)

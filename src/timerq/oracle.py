@@ -88,14 +88,13 @@ class WideAdapter(Adapter):
     def pop_head(self, wide_tick: int):
         return self.queue.pop_expired(wide_tick)
 
-    def push(self, ident: int, wide_tick: int, timeout: int) -> bool:
+    def push(self, ident: int, wide_tick: int, timeout: int):
         if not 0 < timeout <= self.config.max_timeout:
             raise ValueError(f"timeout {timeout} out of range")
         self.queue.push(ident, wide_tick, timeout)
-        return True
 
-    def remove(self, ident: int) -> bool:
-        return self.queue.remove(ident)
+    def remove(self, ident: int):
+        self.queue.remove(ident)
 
 
 # -- op scripts ----------------------------------------------------------
@@ -288,12 +287,11 @@ class _ScriptSource:
         return bool(self.pending) and (
             self.pending[-1].tick <= cycle // self.precision)
 
-    def issue(self, adapter, cycle: int, wide_tick: int) -> bool:
-        op = self.pending[-1]
+    def issue(self, adapter, cycle: int, wide_tick: int):
+        op = self.pending.pop()
         cov = self.cov
         if op.kind == "push":
-            if not adapter.push(op.ident, wide_tick, op.timeout):
-                return False
+            adapter.push(op.ident, wide_tick, op.timeout)
             if op.ident in self.live:
                 cov.updates += 1
             else:
@@ -308,8 +306,6 @@ class _ScriptSource:
                 self.live.discard(op.ident)
             else:
                 cov.removes_missing += 1
-        self.pending.pop()
-        return True
 
     def popped(self, expiry: int, ident: int):
         self.pops.append((expiry, ident))

@@ -242,7 +242,9 @@ class SystolicQueue:
     def issue(self, op: ExternalOp) -> bool:
         """Offer one external op.  Returns False when back-pressured
         (fewer than three cycles since the last acceptance) or when a
-        pop finds the queue empty."""
+        pop finds the queue empty.  The harness engine, issuing every
+        CYCLES_PER_OP cycles, never meets the gate; `timerq bench` and
+        tests that offer an op every cycle do."""
         if self.issue_gate != 0:
             return False
         cfg = self.config

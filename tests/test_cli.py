@@ -386,6 +386,22 @@ class TestBench:
         assert float(stats["cycles_per_op"]) <= 3.01
         assert float(stats["modeled_mpps"]) >= 0.99 * 166.6667
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--cycle-ns", "0"], "cycle_time_ns 0.0"),
+        (["--cycle-ns", "nan"], "cycle_time_ns nan"),
+        (["--count", "0"], "count 0"),
+        (["--count", "-1"], "count -1"),
+        (["--units", "1", "--blocks", "1"], "capacity must be at least 2"),
+        (["--wr", "5", "--wo", "7"], "data_width 5"),
+        (["--pool", "0"], "pool 0"),
+        (["--pool", "20"], "pool 20"),
+        # a pool that overfills a 2x2 array would drop pushes silently
+        (["--pool", "5", "--units", "2", "--blocks", "2"], "pool 5"),
+    ])
+    def test_bad_flag_is_usage_error(self, flags, needle, capsys):
+        rc = main(["bench", "--count", "30", *flags])
+        TestBadInput._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
+
 
 class TestUsage:
     def test_unknown_subcommand_is_usage_error(self):

@@ -15,6 +15,7 @@ from timerq.harness import (
     ParamsFileError,
     SimParams,
     BehavioralAdapter,
+    SystolicAdapter,
     bundled_params,
     drive,
     gen_trace,
@@ -256,38 +257,22 @@ class TestEngine:
         assert all(t % 8 == 0 for t in ticks)
         assert all(0 <= occ <= stats.max_occupancy for _, occ in series)
 
-    def test_backpressure_requeues_packet(self):
-        class BalkyAdapter(BehavioralAdapter):
-            """Rejects the first push attempt, as a gated array would."""
-
-            def __init__(self, config):
-                super().__init__(config)
-                self.balked = False
-
-            def push(self, ident, wide_tick, timeout):
-                if not self.balked:
-                    self.balked = True
-                    return False
-                return super().push(ident, wide_tick, timeout)
-
-        params = mini_params(timeout=10)
-        pkts = [Packet(0, ("10.0.0.1", "10.0.0.2", 1, 2, 6))]
-        log = []
-        adapter = BalkyAdapter(params.queue_config())
-        stats = drive(pkts, adapter, params, dequeue_log=log)
-        assert adapter.balked
-        assert stats.pushes == 1
-        assert stats.pops == 1
-        # the retry shifted the push (and so the deadline) by one cycle
-        assert log == [(11, 1)]
-
-        # a script source retries a refused push the same way
-        script = OpScript(params, [ScriptOp(0, "push", 1, 10)])
-        adapter = BalkyAdapter(params.queue_config())
-        result = replay(script, lambda p: adapter)
-        assert adapter.balked
-        assert result.aborted is None
-        assert result.pops == [(11, 1)]
+    def test_refused_op_is_a_model_fault(self):
+        # the engine issues only at open gates, so a closed gate at an
+        # issue means the model is broken, not back-pressured
+        params = mini_params(timeout=10, capacity=4, id_width=3)
+        adapter = SystolicAdapter(params.queue_config(), 2, 2)
+        with pytest.raises(RuntimeError, match="empty"):
+            adapter.pop_head(0)
+        adapter.push(1, 0, 10)
+        adapter.settle()
+        adapter.queue.issue_gate = 1
+        for kind, issue in (("push", lambda: adapter.push(2, 0, 10)),
+                            ("remove", lambda: adapter.remove(1)),
+                            ("pop", lambda: adapter.pop_head(20))):
+            with pytest.raises(RuntimeError, match=f"refused a {kind}"):
+                issue()
+        assert adapter.occupancy() == 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

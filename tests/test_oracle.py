@@ -194,9 +194,6 @@ class RawSortAdapter:
         self.idents = {}    # (data, seq) -> ident
         self._seq = 0
 
-    def ready(self):
-        return True
-
     def step(self, cycles):
         pass
 
@@ -220,15 +217,13 @@ class RawSortAdapter:
         self._seq += 1
         bisect.insort(self.items, key)
         self.idents[key] = ident
-        return True
 
     def remove(self, ident):
         for key, owner in self.idents.items():
             if owner == ident:
                 self.items.remove(key)
                 del self.idents[key]
-                return True
-        return False
+                return
 
     def settle(self):
         pass
@@ -279,7 +274,7 @@ class TestEquivalenceChecker:
     def test_leaky_backend_reads_as_aborted(self):
         class DeafRemoveAdapter(BehavioralAdapter):
             def remove(self, ident):
-                return False    # claims the search missed, keeps the entry
+                pass            # drops the remove, keeps the entry
 
         params = SimParams(timeout=1, data_width=9, timeout_width=7,
                            id_width=6, capacity=16, precision=1)
