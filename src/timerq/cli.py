@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness, oracle
 from .systolic import CYCLES_PER_OP, SystolicQueue, push_op
@@ -29,35 +29,34 @@ EXIT_BADFILE = 5
 
 
 def _queue_args(sub):
-    sub.add_argument("--to", type=int, help="idle timeout in timer ticks")
-    sub.add_argument("--precision", type=int, default=6,
-                     help="cycles per timer tick")
-    sub.add_argument("--wr", type=int, default=12, help="timestamp width, bits")
-    sub.add_argument("--wo", type=int, default=9, help="timeout width, bits")
-    sub.add_argument("--wid", type=int, default=13, help="flow id width, bits")
-    sub.add_argument("--capacity", type=int, default=4096)
-    sub.add_argument("--units", type=int, default=0,
+    # each flag lands on its SimParams field, None unless given
+    sub.add_argument("--to", dest="timeout", type=int,
+                     help="idle timeout in timer ticks")
+    sub.add_argument("--precision", type=int, help="cycles per timer tick")
+    sub.add_argument("--wr", dest="data_width", type=int,
+                     help="timestamp width, bits")
+    sub.add_argument("--wo", dest="timeout_width", type=int,
+                     help="timeout width, bits")
+    sub.add_argument("--wid", dest="id_width", type=int,
+                     help="flow id width, bits")
+    sub.add_argument("--capacity", type=int)
+    sub.add_argument("--units", dest="n_units", type=int,
                      help="array units; unless both --units and --blocks "
                      "are known, the geometry is derived from capacity")
-    sub.add_argument("--blocks", type=int, default=0,
+    sub.add_argument("--blocks", dest="m_blocks", type=int,
                      help="blocks per unit (see --units)")
-    sub.add_argument("--cycle-ns", type=float, default=2.0)
+    sub.add_argument("--cycle-ns", dest="cycle_time_ns", type=float)
     sub.add_argument("--backend", choices=harness.BACKENDS,
                      help="default: the params file's, else behavioral")
+
+
+# run without --params: SimParams defaults, but for these
+_RUN_DEFAULTS = {"timeout": 127, "precision": 6}
 
 
 def _error(fault, code: int = EXIT_USAGE) -> int:
     print(f"error: {fault}", file=sys.stderr)
     return code
-
-
-def _params_from(args) -> harness.SimParams:
-    return harness.SimParams(
-        timeout=127 if args.to is None else args.to, precision=args.precision,
-        data_width=args.wr, timeout_width=args.wo, id_width=args.wid,
-        capacity=args.capacity, cycle_time_ns=args.cycle_ns,
-        backend=args.backend or "behavioral", n_units=args.units,
-        m_blocks=args.blocks)
 
 
 def _cmd_gen_trace(args) -> int:
@@ -85,27 +84,23 @@ def _cmd_gen_script(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.params:
-        path = args.params
-        if not os.path.exists(path):
-            bundled = harness.bundled_params(path)
-            if bundled.is_file():
-                path = bundled
-        overrides = {key: value for key, value in
-                     (("backend", args.backend), ("timeout", args.to))
-                     if value is not None}
-        try:
-            params, extra = harness.load_params(path, **overrides)
-        except (OSError, harness.ParamsFileError) as exc:
-            return _error(exc, EXIT_BADFILE)
-        except ValueError as exc:       # a flag value the run cannot take
-            return _error(exc)
-    else:
-        params, extra = _params_from(args), {}
+    overrides = {field.name: getattr(args, field.name)
+                 for field in fields(harness.SimParams)
+                 if getattr(args, field.name) is not None}
     try:
-        params = replace(params, n_units=args.units or params.n_units,
-                         m_blocks=args.blocks or params.m_blocks).check()
-    except ValueError as exc:
+        if args.params:
+            path = args.params
+            if not os.path.exists(path):
+                bundled = harness.bundled_params(path)
+                if bundled.is_file():
+                    path = bundled
+            params, extra = harness.load_params(path, **overrides)
+        else:
+            params = harness.SimParams(**{**_RUN_DEFAULTS, **overrides})
+            params, extra = params.check(), {}
+    except (OSError, harness.ParamsFileError) as exc:
+        return _error(exc, EXIT_BADFILE)
+    except ValueError as exc:       # a flag value the run cannot take
         return _error(exc)
 
     if args.trace:

@@ -99,6 +99,10 @@ class QueueConfig:
     capacity: int
 
     def __post_init__(self):
+        for name in ("data_width", "timeout_width", "id_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be "
+                                 "at least 1")
         if self.data_width <= self.timeout_width + 1:
             raise ValueError(
                 f"data_width {self.data_width} must exceed timeout_width "
@@ -107,8 +111,8 @@ class QueueConfig:
             raise ValueError("capacity must be at least 2")
         if (1 << self.id_width) - 1 < self.capacity:
             raise ValueError(
-                f"id_width {self.id_width} cannot address {self.capacity} "
-                "concurrent elements (id 0 is reserved for empty slots)")
+                f"id_width {self.id_width} cannot address capacity "
+                f"{self.capacity} (id 0 is reserved for empty slots)")
 
     @property
     def data_mask(self) -> int:

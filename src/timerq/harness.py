@@ -119,6 +119,8 @@ def gen_trace(flows: int, packets: int, seed: int, duration_ns: int,
     """
     if flows < 1 or packets < flows:
         raise ValueError("need at least one packet per flow")
+    if duration_ns < 0:
+        raise ValueError(f"duration_ns {duration_ns} is negative")
     rng = random.Random(seed)
 
     tuples: list[tuple] = []
@@ -209,9 +211,9 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     """Read a `key = value` params file.  Keys that match SimParams
     fields configure the run, checked by `SimParams.check`; the rest
     (generator knobs like flows/packets/seed/duration_ns) are returned
-    as a dict.  A fault of the file raises a one-line ParamsFileError
-    naming the file and, if the file set the field, its line; a fault
-    of an override raises as is."""
+    as a dict.  A fault that names an override, or opens with no field
+    the file set while overrides are given, raises as is; others raise
+    a one-line ParamsFileError naming the file and the field's line."""
     sim_kwargs, extra, lines = {}, {}, {}
     for lineno, raw in enumerate(read_lines(path, ParamsFileError),
                                  start=1):
@@ -241,8 +243,9 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     try:
         params = SimParams(**sim_kwargs).check()
     except ValueError as exc:
-        field = str(exc).split()[0]
-        if field in overrides:
+        words = str(exc).split()
+        field = words[0]
+        if overrides.keys() & words or overrides and field not in lines:
             raise
         where = f"{path}:{lines[field]}" if field in lines else path
         raise ParamsFileError(f"{where}: {exc}") from None

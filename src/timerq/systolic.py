@@ -33,6 +33,12 @@ kinds are bits (`ENQ`, `REM`, `DEQ`, `PF`), the same in `propagate`'s
 rows and in the finish check.  `Element` objects are built at the API
 edge alone, by `peek` and `snapshot`.
 
+Phases: search only latches the head-group bit the op's insert compares
+under.  Shift-set is the unit's one occupant read; it writes the unit
+back as a compacted prefix, which finish reuses.  That is exact because
+a clear of a busy unit's slot (a pop at issue, an upstream pull) raises
+`SimulationHazard`.
+
 Write hazards: the first write to a unit in a cycle is kept as the
 unit's old and new slot lists; the slots it changed are worked out only
 when a second write reaches the same unit in that cycle.
@@ -156,11 +162,9 @@ class SystolicUnit:
         self.count = 0              # occupied slots
         self.phase = IDLE
         self.pending: tuple = ()    # op record
-        # search -> shift-set: compare flags over the occupants (1: the
-        # incoming element sorts before that occupant), and the occupant
-        # index of the removal target, -1 when absent
-        self.flags: list | None = None
-        self.match = -1
+        # search -> shift-set: the head-group bit under which the op's
+        # insert compares, latched while the search cycle sees it
+        self.highest = 0
         # shift-set -> finish: (removed_found, deferred id, deferred data,
         # spill id, spill data, enq_hosted), ids 0 when absent
         self.work: tuple = ()
@@ -390,7 +394,12 @@ class SystolicQueue:
         return next(compress(self._slots, unit.ids))
 
     def _clear(self, unit: SystolicUnit, s_idx: int) -> tuple[int, int]:
-        """Empty one slot; returns the (id, data) it held."""
+        """Empty one slot; returns the (id, data) it held.  The slots of
+        a busy unit belong to its op until finish, so only an idle unit
+        may lose one."""
+        if unit.phase != IDLE:
+            raise SimulationHazard(
+                f"cycle {self.cycle}: slot cleared in a unit in {unit.phase}")
         held = unit.ids[s_idx], unit.data[s_idx]
         unit.ids[s_idx] = 0
         unit.data[s_idx] = self.config.data_mask
@@ -462,18 +471,8 @@ class SystolicQueue:
 
     def _do_search(self, idx: int):
         unit = self.units[idx]
-        enq_id, enq_data, rid, _, _, _ = unit.pending
-        highest = self._highest(rid)
-
-        # both signals index the compacted occupant view, so a transient
-        # hole left at the head by an upstream pull does not skew
-        # positions; the op's own shift closes that hole anyway
-        ids, data = unit.occupants()
-        unit.match = ids.index(rid) if rid and rid in ids else -1
-        unit.flags = (_compare_flags(data, enq_data, highest,
-                                     self.config.data_width)
-                      if enq_id else None)
-
+        # read now: unit 0 may change later in this same cycle
+        unit.highest = self._highest(unit.pending[2])
         self._emit(idx, SEARCH, unit.pending)
         unit.phase = SHIFT_SET
 
@@ -481,33 +480,26 @@ class SystolicQueue:
         unit = self.units[idx]
         m = self.m_blocks
         enq_id, enq_data, rem_id, deq, pf_id, pf_data = unit.pending
+        # the unit's one occupant read: positions index the compacted
+        # view, so a transient hole left at the head by an upstream pull
+        # does not skew them; the op's own shift closes that hole anyway
         ids, data = unit.occupants()
         original_count = len(ids)
 
-        removed_found = False
-        if rem_id and rem_id in ids:
+        removed_found = rem_id != 0 and rem_id in ids
+        if removed_found:
             i = ids.index(rem_id)
             del ids[i], data[i]
-            removed_found = True
-
-        if pf_id:
-            ids.insert(0, pf_id)
-            data.insert(0, pf_data)
 
         deferred_id = deferred_data = 0
         enq_hosted = False
         if enq_id:
-            # insertion index among the post-removal survivors: one past
-            # the last zero-flag resident (they sort at or before the
-            # incoming element), leaving out the one the remove deleted
-            flags = unit.flags[:original_count]
-            if 0 <= unit.match < original_count:
-                del flags[unit.match]
-            n = len(flags)
+            # insertion index among the survivors: one past the last one
+            # the incoming element does not sort before
+            flags = _compare_flags(data, enq_data, unit.highest,
+                                   self.config.data_width)
             flags.reverse()
-            pos = n - flags.index(False) if False in flags else 0
-            if pf_id:
-                pos += 1  # the pushed-first element sits ahead of everyone
+            pos = len(flags) - flags.index(False) if False in flags else 0
             # a slot vacated by an upstream pull is a hole, not a true
             # empty: the tail may still continue in the next unit
             true_empty = original_count < (m - 1 if deq else m)
@@ -519,6 +511,10 @@ class SystolicQueue:
                 enq_hosted = True
             else:
                 deferred_id, deferred_data = enq_id, enq_data
+
+        if pf_id:   # the pushed-first element sits ahead of everyone
+            ids.insert(0, pf_id)
+            data.insert(0, pf_data)
 
         spill_id = spill_data = 0
         if len(ids) > m:
@@ -536,7 +532,9 @@ class SystolicQueue:
         enq_id, _, rem_id, deq, _, _ = unit.pending
         (removed_found, deferred_id, deferred_data, spill_id, spill_data,
          enq_hosted) = unit.work
-        ids, data = unit.occupants()
+        # the compacted prefix shift-set wrote; no one clears a slot of
+        # a busy unit, so it still holds
+        ids, data = unit.ids[:unit.count], unit.data[:unit.count]
         out_id = out_data = out_deq = out_rem = 0
         kinds = PF if spill_id else 0
 

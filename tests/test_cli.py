@@ -98,6 +98,21 @@ class TestRun:
         assert main(["run", *RUN_FLAGS]) == EXIT_OK
         assert from_params == capsys.readouterr().out
 
+    def test_params_file_takes_queue_flags(self, tmp_path, capsys):
+        params = tmp_path / "mini.params"
+        params.write_text(
+            "timeout = 25\nprecision = 1\ndata_width = 9\n"
+            "timeout_width = 7\nid_width = 6\ncapacity = 32\n"
+            "flows = 8\npackets = 40\nseed = 5\nduration_ns = 1500\n")
+        flags = ["--precision", "2", "--cycle-ns", "4", "--wr", "10",
+                 "--wo", "6", "--wid", "7", "--capacity", "48"]
+        assert main(["run", "--params", str(params), *flags]) == EXIT_OK
+        from_params = capsys.readouterr().out
+        assert main(["run", *RUN_FLAGS, *flags]) == EXIT_OK
+        assert from_params == capsys.readouterr().out
+        assert main(["run", *RUN_FLAGS]) == EXIT_OK
+        assert from_params != capsys.readouterr().out
+
     def test_run_params_file_backend_honored(self, tmp_path, monkeypatch,
                                              capsys):
         seen = []
@@ -336,7 +351,9 @@ class TestBadInput:
         (["--precision", "0"], "precision must be a positive cycle count"),
         (["--cycle-ns", "nan"],
          "cycle_time_ns nan is not a finite positive number"),
-    ], ids=["to_zero", "to_above_wo", "precision_zero", "cycle_ns_nan"])
+        (["--wr", "0"], "data_width 0 must be at least 1"),
+    ], ids=["to_zero", "to_above_wo", "precision_zero", "cycle_ns_nan",
+            "wr_zero"])
     def test_run_bad_flag(self, capsys, flags, needle):
         rc = main(["run", *RUN_FLAGS, *flags])
         self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
@@ -348,6 +365,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
         assert err == f"error: timeout {to} outside (0, 511]\n"
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--wr", "0"], "data_width 0 must be at least 1"),
+        (["--wo", "-1"], "timeout_width -1 must be at least 1"),
+        (["--wo", "11"], "data_width 12 must exceed timeout_width 11"),
+        (["--wid", "0"], "id_width 0 must be at least 1"),
+        (["--capacity", "1"], "capacity must be at least 2"),
+        (["--capacity", "8192"], "id_width 13 cannot address capacity 8192"),
+        (["--precision", "0"], "precision must be a positive cycle count"),
+        (["--cycle-ns", "0"], "cycle_time_ns 0.0 is not a finite positive"),
+    ], ids=["wr", "wo", "wo_against_file_wr", "wid", "capacity",
+            "capacity_against_file_wid", "precision", "cycle_ns"])
+    def test_params_file_bad_queue_flag(self, capsys, flags, needle):
+        # the file is fine, so only a flag that reaches the run fails it
+        rc = main(["run", "--params", "univ_scale", *flags])
+        self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
+
+    def test_gen_script_width_below_one(self, tmp_path, capsys):
+        out = tmp_path / "s.script"
+        rc = main(["gen-script", "--wo", "-1", "--out", str(out)])
+        self._one_line_error(rc, capsys, "timeout_width -1 must be at least 1",
+                             code=EXIT_USAGE)
+        assert not out.exists()
 
     def test_script_not_utf8(self, tmp_path, capsys):
         script = tmp_path / "binary.script"
@@ -375,6 +415,14 @@ class TestBadInput:
         self._one_line_error(rc, capsys, "at least one packet per flow",
                              code=EXIT_USAGE)
 
+    def test_gen_trace_negative_duration(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["gen-trace", "--flows", "5", "--packets", "20",
+                   "--duration-ns", "-1000", "--out", str(out)])
+        self._one_line_error(rc, capsys, "duration_ns -1000 is negative",
+                             code=EXIT_USAGE)
+        assert not out.exists()
+
 
 class TestBench:
     def test_bench_reports_saturation(self, capsys):
@@ -397,6 +445,8 @@ class TestBench:
         (["--pool", "20"], "pool 20"),
         # a pool that overfills a 2x2 array would drop pushes silently
         (["--pool", "5", "--units", "2", "--blocks", "2"], "pool 5"),
+        (["--wo", "0"], "timeout_width 0 must be at least 1"),
+        (["--wid", "-1"], "id_width -1 must be at least 1"),
     ])
     def test_bad_flag_is_usage_error(self, flags, needle, capsys):
         rc = main(["bench", "--count", "30", *flags])

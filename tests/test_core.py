@@ -104,6 +104,17 @@ class TestQueueConfig:
         with pytest.raises(ValueError):
             QueueConfig(id_width=3, data_width=9, timeout_width=7, capacity=8)
 
+    @pytest.mark.parametrize("field", ["data_width", "timeout_width",
+                                       "id_width"])
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_rejects_width_below_one(self, field, width):
+        widths = {"data_width": 9, "timeout_width": 7, "id_width": 5,
+                  field: width}
+        # the message opens with the field, so a params file fault can
+        # be traced to the line that set it
+        with pytest.raises(ValueError, match=f"^{field} {width} must be"):
+            QueueConfig(capacity=16, **widths)
+
     def test_derived_fields(self):
         cfg = QueueConfig(id_width=5, data_width=9, timeout_width=7, capacity=16)
         assert cfg.data_mask == 511

@@ -100,6 +100,11 @@ class TestGenTrace:
         with pytest.raises(ValueError):
             gen_trace(10, 9, seed=1, duration_ns=100)
 
+    def test_rejects_negative_duration(self):
+        # its negative arrivals would all be skipped by load_trace
+        with pytest.raises(ValueError, match="^duration_ns -1000 is negative"):
+            gen_trace(5, 20, seed=1, duration_ns=-1000)
+
 
 class TestSimParams:
     def test_queue_config_mapping(self):

@@ -290,6 +290,28 @@ class TestHazardDetector:
                            match="op fed to unit 0 while it is in shift_set"):
             q.step()
 
+    def test_pop_clearing_busy_unit_raises(self):
+        cfg = make_config(capacity=4)
+        q = SystolicQueue(cfg, 2, 2)
+        fill(q, [(1, 10)])
+        assert q.issue(push_op(2, 20))
+        q.step()                        # unit 0 searched, now in shift-set
+        q.issue_gate = 0                # force a pop in one cycle later
+        with pytest.raises(SimulationHazard,
+                           match="slot cleared in a unit in shift_set"):
+            q.issue(pop_op())
+
+    def test_pull_from_busy_unit_raises(self):
+        q = SystolicQueue(make_config(capacity=4), 2, 2)
+        fill(q, [(1, 10), (2, 20), (3, 30)])
+        assert q.issue(push_op(4, 40))  # sorts last: unit 0 hands it on
+        for _ in range(CYCLES_PER_OP + 1):
+            q.step()                    # unit 1 fed it and searched
+        assert q.units[1].phase == "shift_set"
+        with pytest.raises(SimulationHazard,
+                           match="slot cleared in a unit in shift_set"):
+            q._take_next_first(0)
+
     def test_register_overwritten_in_finish_raises(self):
         cfg = make_config(capacity=4)
         q = SystolicQueue(cfg, 2, 2)
