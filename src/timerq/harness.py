@@ -1,9 +1,10 @@
 """Flow-timeout simulation harness.
 
-`arbitrate` is the one engine loop.  It models the array's
-one-op-per-three-cycles interface: it steps every backend from issue
-slot to issue slot, and each slot goes to an op source's next op or to
-an expired head, alternating when both wait.
+`arbitrate` is the one engine loop and the one end of every run.  It
+models the array's one-op-per-three-cycles interface: it steps every
+backend from issue slot to issue slot, and each slot goes to an op
+source's next op or to an expired head, alternating when both wait;
+then it checks that the backend drained, within a derived cycle bound.
 `drive` is the trace source (each packet pushes or refreshes its flow's
 expiration entry); `oracle.replay` is the script source.  Backends sit
 behind `Adapter` subclasses, so all of them run the same loop and
@@ -37,6 +38,15 @@ BACKENDS = ("behavioral", "systolic", "wide")
 
 class CapacityAbort(RuntimeError):
     """The flow table outgrew the queue; the run cannot continue."""
+
+
+class RunAborted(RuntimeError):
+    """A run past its cycle bound or with entries left at its end;
+    `cycle` is where it stopped."""
+
+    def __init__(self, message: str, cycle: int):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class ParamsFileError(ValueError):
@@ -211,9 +221,10 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
     """Read a `key = value` params file.  Keys that match SimParams
     fields configure the run, checked by `SimParams.check`; the rest
     (generator knobs like flows/packets/seed/duration_ns) are returned
-    as a dict.  A fault that names an override, or opens with no field
-    the file set while overrides are given, raises as is; others raise
-    a one-line ParamsFileError naming the file and the field's line."""
+    as a dict.  When the file's own values pass the check, a fault
+    belongs to the overrides and raises as is; otherwise it raises a
+    one-line ParamsFileError naming the file and the line of the field
+    the message opens with."""
     sim_kwargs, extra, lines = {}, {}, {}
     for lineno, raw in enumerate(read_lines(path, ParamsFileError),
                                  start=1):
@@ -237,19 +248,19 @@ def load_params(path, **overrides) -> tuple[SimParams, dict]:
                     break
                 except ValueError:
                     pass
-    sim_kwargs.update(overrides)
-    if "timeout" not in sim_kwargs:
+    run_kwargs = {**sim_kwargs, **overrides}
+    if "timeout" not in run_kwargs:
         raise ParamsFileError(f"{path}: no timeout given")
     try:
-        params = SimParams(**sim_kwargs).check()
+        return SimParams(**run_kwargs).check(), extra
     except ValueError as exc:
-        words = str(exc).split()
-        field = words[0]
-        if overrides.keys() & words or overrides and field not in lines:
-            raise
-        where = f"{path}:{lines[field]}" if field in lines else path
-        raise ParamsFileError(f"{where}: {exc}") from None
-    return params, extra
+        try:    # the file's own values, its timeout if it gives one
+            SimParams(**{"timeout": 1, **sim_kwargs}).check()
+        except ValueError:
+            field = str(exc).split()[0]
+            where = f"{path}:{lines[field]}" if field in lines else path
+            raise ParamsFileError(f"{where}: {exc}") from None
+        raise
 
 
 def bundled_params(name: str = "univ_scale"):
@@ -443,25 +454,29 @@ class SimStats:
 # -- engine ------------------------------------------------------------------
 
 
-def arbitrate(source, adapter, precision: int, max_cycles: int):
-    """The one issue arbiter every run goes through.
+def arbitrate(source, adapter, params: SimParams):
+    """The one issue arbiter and the one end of every run.
 
     It visits issue slots at the array's fixed rate: an issued op holds
     the interface for CYCLES_PER_OP cycles, an idle slot for one, and
-    the adapter is stepped that many cycles in one `step(cycles)` call.
-    So the array's issue gate is open at every slot, and all backends
-    see identical op streams.  In each slot the source is asked whether
-    an op is due and the adapter whether its head has expired; when both
-    are, it alternates kinds, the source first, to starve neither side.
-    `source.issue(adapter, cycle, wide_tick)` issues the waiting op;
-    `source.popped(expiry, ident)` records each pop.  Once
-    `source.done()` holds after a slot, the adapter is stepped one cycle
-    and the run ends.
+    the adapter is stepped that many cycles in one `step(cycles)` call,
+    so all backends see identical op streams.  In each slot the source
+    is asked whether an op is due and the adapter whether its head has
+    expired; when both are, it alternates kinds, the source first, to
+    starve neither side.  `source.issue(adapter, cycle, wide_tick)`
+    issues the waiting op; `source.popped(expiry, ident)` records each
+    pop.  Once `source.done()` holds after a slot, the adapter is
+    stepped one cycle, settled outside the counted horizon and must
+    hold nothing.  Returns (cycles, idle_cycles): idle slots are the
+    only cycles that count against saturation.
 
-    Returns (cycles, idle_cycles), or None when max_cycles ran out
-    first.  Idle cycles are slots with nothing to issue: the only
-    cycles that count against saturation.
+    Past a bound of the source's last due cycle (`last_due`), two slots
+    per source op (`total`: the op and at most one pop) and the longest
+    timeout plus two ticks, or with entries left, it raises RunAborted.
     """
+    precision = params.precision
+    max_cycles = (source.last_due + 2 * CYCLES_PER_OP * source.total
+                  + (params.queue_config().max_timeout + 2) * precision)
     step = adapter.step
     has_expired_head = adapter.has_expired_head
     cycle = idle = 0
@@ -480,12 +495,17 @@ def arbitrate(source, adapter, precision: int, max_cycles: int):
             idle += 1
             held = 1
         if source.done():
-            step(1)
-            return cycle + 1, idle
+            break
         step(held)
         cycle += held
         if cycle >= max_cycles:
-            return None
+            raise RunAborted(f"no convergence in {max_cycles} cycles", cycle)
+    step(1)
+    adapter.settle()
+    left = adapter.occupancy()
+    if left:
+        raise RunAborted(f"{left} elements left after final pop", cycle + 1)
+    return cycle + 1, idle
 
 
 class _TraceSource:
@@ -496,6 +516,8 @@ class _TraceSource:
                  sample_ticks: int):
         self.packets = packets
         self.total = len(packets)
+        self.last_due = (math.ceil(packets[-1].arrival_ns
+                                   / params.cycle_time_ns) if packets else 0)
         self.next = 0
         self.params = params
         self.cycle_ns = params.cycle_time_ns
@@ -556,26 +578,15 @@ class _TraceSource:
 def drive(packets: list[Packet], adapter, params: SimParams, *,
           dequeue_log: list | None = None,
           occupancy_series: list | None = None,
-          sample_ticks: int = 1024,
-          max_cycles: int = 500_000_000) -> SimStats:
+          sample_ticks: int = 1024) -> SimStats:
     """Run the trace to completion: every flow pushed, refreshed on
-    each packet, and popped once expired.  Returns the aggregate stats.
+    each packet, and popped once expired.  Returns the aggregate stats;
+    a run that does not end raises `arbitrate`'s RunAborted.
     """
     src = _TraceSource(packets, params.check(), dequeue_log,
                        occupancy_series, sample_ticks)
-    result = arbitrate(src, adapter, params.precision, max_cycles)
-    if result is None:
-        raise RuntimeError(f"run did not converge in {max_cycles} cycles")
-    cycles, idle_cycles = result
+    cycles, idle_cycles = arbitrate(src, adapter, params)
     src.sample(cycles)
-
-    # settle any in-flight pipeline work outside the counted horizon so
-    # cycle accounting is identical for every backend
-    adapter.settle()
-    if adapter.occupancy() != 0:
-        raise RuntimeError(
-            f"backend still holds {adapter.occupancy()} elements after "
-            "the flow table drained")
 
     ops = src.pushes + src.pops
     duration_ns = cycles * params.cycle_time_ns

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .core import QueueConfig
-from .harness import Adapter, SimParams, arbitrate, make_adapter, read_lines
-from .systolic import CYCLES_PER_OP
+from .harness import (Adapter, RunAborted, SimParams, arbitrate, make_adapter,
+                      read_lines)
 
 
 class WideOracleQueue:
@@ -275,9 +275,11 @@ class _ScriptSource:
     """Script rows issue in order, each once the clock reaches its tick."""
 
     def __init__(self, script: OpScript):
-        params = script.params
-        self.pending = script.ops[::-1]    # pop() from the tail: script order
+        params, ops = script.params, script.ops
+        self.pending = ops[::-1]    # pop() from the tail: script order
         self.precision = params.precision
+        self.total = len(ops)
+        self.last_due = ops[-1].tick * self.precision if ops else 0
         self.mask = (1 << params.data_width) - 1
         self.cov = Coverage()
         self.pops: list = []
@@ -316,37 +318,25 @@ class _ScriptSource:
         return not self.pending and not self.live
 
 
-def replay(script: OpScript, adapter_factory=None, *,
-           max_cycles: int = 0) -> ReplayResult:
+def replay(script: OpScript, adapter_factory=None) -> ReplayResult:
     """Drive a script to completion through the harness arbiter.
 
     `adapter_factory` maps SimParams to a backend adapter; default is
     the params' own backend via the harness.  Expired entries are
     popped automatically, alternating with script ops when both are
-    due, exactly as the trace engine arbitrates.  max_cycles of zero
-    means a generous bound derived from the script itself; hitting it
-    marks the result aborted rather than raising, so a wedged backend
-    reads as a divergence.
+    due, exactly as the trace engine arbitrates.  A run that
+    `arbitrate` aborts (past its derived cycle bound, or with entries
+    left) marks the result aborted at the cycle it stopped, rather than
+    raising, so a wedged or leaky backend reads as a divergence.
     """
     params = script.params.check()
     adapter = (adapter_factory or make_adapter)(params)
-    if not max_cycles:
-        last_tick = script.ops[-1].tick if script.ops else 0
-        horizon = last_tick + (1 << params.timeout_width) + 2
-        max_cycles = (horizon * params.precision
-                      + (len(script.ops) + params.capacity) * CYCLES_PER_OP
-                      + 1000)
     src = _ScriptSource(script)
-    result = arbitrate(src, adapter, params.precision, max_cycles)
-    if result is None:
-        cycle = max_cycles
-        aborted = f"no convergence in {max_cycles} cycles"
-    else:
-        cycle = result[0]
-        adapter.settle()
+    try:
+        cycle, _ = arbitrate(src, adapter, params)
         aborted = None
-        if adapter.occupancy() != 0:
-            aborted = f"{adapter.occupancy()} elements left after final pop"
+    except RunAborted as exc:
+        cycle, aborted = exc.cycle, str(exc)
     return ReplayResult(src.pops, src.cov, cycle, cycle // params.precision,
                         aborted)
 

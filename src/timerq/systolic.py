@@ -304,10 +304,9 @@ class SystolicQueue:
                     out.append(Element(ident, data))
         return out
 
-    def drain(self, limit: int | None = None) -> int:
+    def drain(self) -> int:
         """Step until quiescent; returns cycles stepped."""
-        if limit is None:
-            limit = CYCLES_PER_OP * (self.n_units + 2) + 4
+        limit = CYCLES_PER_OP * (self.n_units + 2) + 4
         for n in range(limit + 1):
             if self.is_quiescent():
                 return n

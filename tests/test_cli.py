@@ -375,8 +375,10 @@ class TestBadInput:
         (["--capacity", "8192"], "id_width 13 cannot address capacity 8192"),
         (["--precision", "0"], "precision must be a positive cycle count"),
         (["--cycle-ns", "0"], "cycle_time_ns 0.0 is not a finite positive"),
+        (["--wo", "7"], "timeout 191 outside (0, 127]"),
     ], ids=["wr", "wo", "wo_against_file_wr", "wid", "capacity",
-            "capacity_against_file_wid", "precision", "cycle_ns"])
+            "capacity_against_file_wid", "precision", "cycle_ns",
+            "wo_against_file_timeout"])
     def test_params_file_bad_queue_flag(self, capsys, flags, needle):
         # the file is fine, so only a flag that reaches the run fails it
         rc = main(["run", "--params", "univ_scale", *flags])

@@ -13,6 +13,7 @@ from timerq.harness import (
     FlowTable,
     Packet,
     ParamsFileError,
+    RunAborted,
     SimParams,
     BehavioralAdapter,
     SystolicAdapter,
@@ -246,10 +247,32 @@ class TestEngine:
             run(params, pkts)
 
     def test_max_cycles_guard(self):
-        params = mini_params(timeout=100)
+        class StuckAdapter(BehavioralAdapter):
+            def has_expired_head(self, wide_tick):
+                return False
+
+        # the bound is derived from the run: the packet is due at cycle
+        # 5, its push and at most one pop take 2 * 3 cycles, and the
+        # longest timeout (127) plus two ticks take 129 * 2 cycles
+        params = mini_params(timeout=100, precision=2)
+        pkts = [Packet(10, ("10.0.0.1", "10.0.0.2", 1, 2, 6))]
+        with pytest.raises(RunAborted,
+                           match="^no convergence in 269 cycles$") as exc:
+            drive(pkts, StuckAdapter(params.queue_config()), params)
+        assert exc.value.cycle == 269
+
+    def test_leaky_backend_aborts(self):
+        class LeakyAdapter(BehavioralAdapter):
+            def occupancy(self):
+                return super().occupancy() + 1
+
+        params = mini_params(timeout=10)
         pkts = [Packet(0, ("10.0.0.1", "10.0.0.2", 1, 2, 6))]
-        with pytest.raises(RuntimeError):
-            run(params, pkts, max_cycles=20)
+        with pytest.raises(RunAborted,
+                           match="^1 elements left after final pop$") as exc:
+            drive(pkts, LeakyAdapter(params.queue_config()), params)
+        # settled and checked at the cycle the clean run ends
+        assert exc.value.cycle == 12
 
     def test_occupancy_series_sampling(self):
         params = mini_params(timeout=60, precision=2)
