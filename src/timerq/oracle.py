@@ -137,6 +137,9 @@ class OpScript:
                 continue
             parts = line.split()
             if parts[0] == "params":
+                if params is not None:
+                    # ops were checked against the first one
+                    raise ValueError(f"line {lineno}: second params line")
                 kwargs = {}
                 for item in parts[1:]:
                     key, _, value = item.partition("=")
@@ -215,13 +218,17 @@ def make_script(seed: int, n_ops: int = 400, *, data_width: int = 9,
     goes stale-last there.  Cover the timeout axis with several
     scripts, not several timeouts in one script.
     """
-    if pool > capacity:
-        raise ValueError("id pool must fit the queue")
-    rng = random.Random(seed)
     params = SimParams(
         timeout=1, data_width=data_width, timeout_width=timeout_width,
         id_width=id_width, capacity=capacity, precision=precision)
     max_to = params.queue_config().max_timeout     # checks the widths
+    if not 1 <= pool <= capacity:
+        raise ValueError(f"pool {pool} outside [1, {capacity}]")
+    if n_ops < 0:
+        raise ValueError(f"ops {n_ops} must be at least 0")
+    if not 0 <= remove_rate <= 1:
+        raise ValueError(f"remove_rate {remove_rate} outside [0, 1]")
+    rng = random.Random(seed)
     timeout = timeout or rng.randint(max(1, max_to // 4), max_to)
     replace(params, timeout=timeout).check()
     if not gap_max:

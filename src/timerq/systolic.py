@@ -34,9 +34,12 @@ rows and in the finish check.  `Element` objects are built at the API
 edge alone, by `peek` and `snapshot`.
 
 Phases: search only latches the head-group bit the op's insert compares
-under.  Shift-set is the unit's one occupant read; it writes the unit
-back as a compacted prefix, which finish reuses.  That is exact because
-a clear of a busy unit's slot (a pop at issue, an upstream pull) raises
+under.  Compares are by `core.sort_key`: under a high head the MSB is
+flipped, so wrapped low values sort behind high ones.  Shift-set is the
+unit's one occupant read; it scans the survivors' keys from the tail
+for the insert position and writes the unit back as a compacted
+prefix, which finish reuses.  That is exact because a clear of a busy
+unit's slot (a pop at issue, an upstream pull) raises
 `SimulationHazard`.
 
 Write hazards: the first write to a unit in a cycle is kept as the
@@ -123,29 +126,6 @@ def pop_op() -> ExternalOp:
 
 def remove_op(ident: int) -> ExternalOp:
     return ExternalOp("remove", ident)
-
-
-def _compare_flags(data, push_data: int, highest: int,
-                   data_width: int) -> list[bool]:
-    """Comparison flags of occupied slots' timestamps against an incoming
-    timestamp, under the global head-group bit: True means the incoming
-    element sorts strictly before that slot's element, i.e.
-    sort_key(slot) > sort_key(push).  Ties give False so equal
-    timestamps keep arrival order."""
-    if highest:
-        # sort_key flips the MSB in the upper head group
-        half = 1 << (data_width - 1)
-        return list(map((push_data ^ half).__lt__, map(half.__xor__, data)))
-    return list(map(push_data.__lt__, data))
-
-
-def unit_compare(unit: "SystolicUnit", push_data: int, highest: int,
-                 data_width: int) -> list[int]:
-    """Per-slot comparison flags for a whole unit: 1 means the incoming
-    element belongs at or before this slot.  Empty slots are always
-    insertable."""
-    flags = _compare_flags(unit.data, push_data, highest, data_width)
-    return [int(flag or ident == 0) for ident, flag in zip(unit.ids, flags)]
 
 
 # the propagation row of a combined enqueue+remove pair, by
@@ -493,12 +473,14 @@ class SystolicQueue:
         deferred_id = deferred_data = 0
         enq_hosted = False
         if enq_id:
-            # insertion index among the survivors: one past the last one
-            # the incoming element does not sort before
-            flags = _compare_flags(data, enq_data, unit.highest,
-                                   self.config.data_width)
-            flags.reverse()
-            pos = len(flags) - flags.index(False) if False in flags else 0
+            # insertion index among the survivors, scanning from the tail:
+            # one past the last one the incoming key does not sort before.
+            # Ties stop the scan, so equal keys keep arrival order.
+            half = unit.highest << (self.config.data_width - 1)
+            key = enq_data ^ half
+            pos = len(data)
+            while pos and key < data[pos - 1] ^ half:
+                pos -= 1
             # a slot vacated by an upstream pull is a hole, not a true
             # empty: the tail may still continue in the next unit
             true_empty = original_count < (m - 1 if deq else m)
@@ -540,9 +522,9 @@ class SystolicQueue:
         if deferred_id:
             s_idx = self._next_first(idx)
             # the neighbour's head sorts after the deferred element
-            after = s_idx >= 0 and _compare_flags(
-                (self.units[idx + 1].data[s_idx],), deferred_data,
-                self._highest(), self.config.data_width)[0]
+            half = self._highest() << (self.config.data_width - 1)
+            after = s_idx >= 0 and (deferred_data ^ half
+                                    < self.units[idx + 1].data[s_idx] ^ half)
             if len(ids) < m:
                 # a removal (or an upstream pull) opened a slot at our tail
                 if s_idx < 0 or after:

@@ -296,6 +296,16 @@ class TestBadInput:
         rc = main(["check", "--script", str(script)])
         self._one_line_error(rc, capsys, "line 1: invalid literal")
 
+    def test_script_second_params_line(self, tmp_path, capsys):
+        # the ops were checked under the first params line only
+        script = tmp_path / "two_params.script"
+        script.write_text(
+            SCRIPT_HEAD + "0 push 5 100\n3 push 6 100\n"
+            "params data_width=6 timeout_width=4 id_width=6 capacity=16 "
+            "precision=1\n")
+        rc = main(["check", "--script", str(script)])
+        self._one_line_error(rc, capsys, "line 4: second params line")
+
     def test_check_geometry_mismatch(self, capsys):
         rc = main(["check", "--script", str(CORPORA / "short_to.script"),
                    "--right", "systolic", "--units", "3", "--blocks", "5"])
@@ -389,6 +399,17 @@ class TestBadInput:
         rc = main(["gen-script", "--wo", "-1", "--out", str(out)])
         self._one_line_error(rc, capsys, "timeout_width -1 must be at least 1",
                              code=EXIT_USAGE)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,needle", [
+        (["--pool", "0"], "pool 0 outside [1, 16]"),
+        (["--ops", "-5"], "ops -5 must be at least 0"),
+        (["--remove-rate", "1.5"], "remove_rate 1.5 outside [0, 1]"),
+    ], ids=["pool_zero", "ops_negative", "remove_rate_above_one"])
+    def test_gen_script_bad_flag(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "s.script"
+        rc = main(["gen-script", *flags, "--out", str(out)])
+        self._one_line_error(rc, capsys, needle, code=EXIT_USAGE)
         assert not out.exists()
 
     def test_script_not_utf8(self, tmp_path, capsys):

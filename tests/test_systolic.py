@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from timerq.core import BehavioralQueue, Element, QueueConfig, is_expired, make_expiration
 from timerq.harness import (SystolicAdapter, bundled_params, drive,
                             gen_trace, load_params)
+from timerq import systolic
 from timerq.oracle import OpScript, replay
 from timerq.systolic import (
     CYCLES_PER_OP,
@@ -25,7 +26,6 @@ from timerq.systolic import (
     propagate,
     push_op,
     remove_op,
-    unit_compare,
 )
 from conftest import CORPORA, REPO, make_config
 
@@ -115,43 +115,62 @@ class TestIssueTiming:
             q.snapshot()
 
 
-class TestUnitCompare:
-    def test_plain_group_compare(self):
-        cfg = make_config(data_width=8, capacity=4)
-        q = SystolicQueue(cfg, 2, 2)
-        fill(q, [(1, 10), (2, 20)])
-        unit = q.units[0]
-        assert unit_compare(unit, 5, 0, 8) == [1, 1]
-        assert unit_compare(unit, 15, 0, 8) == [0, 1]
-        assert unit_compare(unit, 30, 0, 8) == [0, 0]
+class TestShiftSetInsert:
+    """Where shift-set puts a push among a unit's survivors.  Every push
+    is drained and the array checked against the sorted reference fed
+    the same pushes; unit 0's ids show the slot the push took."""
 
-    def test_wrapped_head_group_rules(self):
-        cfg = make_config(data_width=8, capacity=4)
-        q = SystolicQueue(cfg, 2, 2)
-        fill(q, [(1, 200), (2, 240)])
-        unit = q.units[0]
-        # low incoming under a high head reads as wrapped: belongs after
-        assert unit_compare(unit, 60, 1, 8) == [0, 0]
-        # high incoming compares plainly within the high group
-        assert unit_compare(unit, 220, 1, 8) == [0, 1]
-        # resident low values sort behind any high incoming
-        fill(q, [(3, 5)])
-        assert unit_compare(q.units[1], 250, 1, 8) == [1, 1]
+    @staticmethod
+    def _pushed(pushes, n_units=2, m_blocks=4):
+        cfg = make_config(data_width=8, capacity=n_units * m_blocks)
+        q = SystolicQueue(cfg, n_units, m_blocks)
+        ref = BehavioralQueue(cfg)
+        for ident, data in pushes:
+            fill(q, [(ident, data)])
+            ref.push(ident, data)
+            assert q.snapshot() == ref.items
+        return q
 
-    def test_empty_slots_always_accept(self):
-        cfg = make_config(data_width=8, capacity=4)
-        q = SystolicQueue(cfg, 2, 2)
-        fill(q, [(1, 99)])
-        assert unit_compare(q.units[0], 99, 0, 8) == [0, 1]  # tie keeps order
-        assert unit_compare(q.units[1], 99, 0, 8) == [1, 1]
+    def test_plain_group_insert(self):
+        q = self._pushed([(1, 10), (2, 20), (3, 30), (4, 15)])
+        assert q.units[0].ids == [1, 4, 2, 3]       # mid-unit
+        q = self._pushed([(1, 10), (2, 20), (3, 5)])
+        assert q.units[0].ids == [3, 1, 2, 0]       # ahead of all
 
-    def test_flags_monotone_over_sorted_unit(self):
-        cfg = make_config(data_width=8, capacity=8)
-        q = SystolicQueue(cfg, 2, 4)
-        fill(q, [(1, 10), (2, 60), (3, 130), (4, 220)])
-        for push in (0, 55, 61, 129, 131, 255):
-            flags = unit_compare(q.units[0], push, 0, 8)
-            assert flags == sorted(flags), (push, flags)
+    def test_wrapped_head_group_insert(self):
+        # a low incoming value under a high head reads as wrapped: it
+        # goes behind the high group
+        q = self._pushed([(1, 200), (2, 240), (3, 60), (4, 30)])
+        assert q.units[0].ids == [1, 2, 4, 3]       # mid-unit, wrapped
+        # a resident low value sorts behind any high incoming value
+        q = self._pushed([(1, 200), (2, 240), (3, 60), (4, 220), (5, 250)])
+        assert q.units[0].ids == [1, 4, 2, 5]       # mid-unit
+        assert q.units[1].ids == [3, 0, 0, 0]       # the low value spilled
+
+    def test_tie_keeps_arrival_order(self):
+        q = self._pushed([(1, 99), (2, 120), (3, 99)])
+        assert q.units[0].ids == [1, 3, 2, 0]       # mid-unit, after 1
+        q = self._pushed([(1, 200), (2, 240), (3, 200)])
+        assert q.units[0].ids == [1, 3, 2, 0]       # same under a high head
+
+    def test_short_unit_hosts_at_tail(self):
+        # fewer survivors than slots: nothing lives downstream, so the
+        # tail position is final and nothing is handed on
+        q = self._pushed([(1, 10), (2, 250)])
+        assert q.units[0].ids == [1, 2, 0, 0]
+        assert q.units[1].ids == [0, 0, 0, 0]
+        # a full unit defers a tail insert to its neighbour instead
+        q = self._pushed([(1, 10), (2, 20), (3, 30), (4, 40), (5, 250)])
+        assert q.units[0].ids == [1, 2, 3, 4]
+        assert q.units[1].ids == [5, 0, 0, 0]
+
+    @pytest.mark.parametrize("resident,pushes", [
+        ((10, 60, 130, 220), (0, 55, 61, 129, 131, 255)),
+        ((130, 150, 200, 240), (0, 129, 131, 201, 255)),
+    ], ids=["low_head", "high_head"])
+    def test_every_insert_position_matches_reference(self, resident, pushes):
+        for data in pushes:
+            self._pushed([*enumerate(resident, start=1), (9, data)])
 
 
 class TestPropagate:
@@ -322,6 +341,17 @@ class TestHazardDetector:
         q.registers[0] = (0, 0, 0, 1, 0, 0)
         with pytest.raises(SimulationHazard, match="register 0 overwritten"):
             q._do_finish(0)
+
+    def test_propagation_beyond_table_raises(self, monkeypatch):
+        q = SystolicQueue(make_config(capacity=4), 2, 2)
+        fill(q, [(1, 10), (2, 20)])
+        # a table that allows nothing: the spill a hosted insert hands
+        # on goes beyond it
+        monkeypatch.setattr(systolic, "_PAIR_TABLE",
+                            dict.fromkeys(systolic._PAIR_TABLE, 0))
+        assert q.issue(push_op(3, 15))
+        with pytest.raises(SimulationHazard, match="beyond the table"):
+            q.drain()
 
     def test_scattered_occupants_raise(self):
         cfg = make_config(capacity=4)
